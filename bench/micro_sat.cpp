@@ -139,44 +139,45 @@ void buildCone(ConePair& cone, std::size_t ands, std::uint64_t seed) {
 
 /// One equivalence proof per iteration on a fresh backend: the CNF side
 /// pays encode + solve, the circuit side solves on the graph as-is.
-void runEquivProof(benchmark::State& state, cbq::sat::BackendKind kind) {
+template <typename Backend>
+void runEquivProof(benchmark::State& state) {
   ConePair cone;
   buildCone(cone, static_cast<std::size_t>(state.range(0)), 42);
   for (auto _ : state) {
-    const auto backend = cbq::cnf::makeSatBackend(kind, cone.g);
+    Backend backend(cone.g);
     const cbq::aig::Lit roots[] = {cone.balanced, cone.folded};
-    backend->focusOn(roots);
+    backend.focusOn(roots);
     benchmark::DoNotOptimize(
-        cbq::sat::checkEquiv(*backend, cone.balanced, cone.folded));
+        cbq::sat::checkEquiv(backend, cone.balanced, cone.folded));
   }
   state.SetItemsProcessed(state.iterations());
 }
 
 /// One satisfiability query per iteration on a fresh backend.
-void runSatQuery(benchmark::State& state, cbq::sat::BackendKind kind) {
+template <typename Backend>
+void runSatQuery(benchmark::State& state) {
   ConePair cone;
   buildCone(cone, static_cast<std::size_t>(state.range(0)), 7);
   for (auto _ : state) {
-    const auto backend = cbq::cnf::makeSatBackend(kind, cone.g);
+    Backend backend(cone.g);
     const cbq::aig::Lit roots[] = {cone.balanced};
-    backend->focusOn(roots);
-    benchmark::DoNotOptimize(
-        cbq::sat::checkSat(*backend, cone.balanced));
+    backend.focusOn(roots);
+    benchmark::DoNotOptimize(cbq::sat::checkSat(backend, cone.balanced));
   }
   state.SetItemsProcessed(state.iterations());
 }
 
 void BM_ConeEquivCnf(benchmark::State& state) {
-  runEquivProof(state, cbq::sat::BackendKind::Cnf);
+  runEquivProof<cbq::cnf::CnfSolverBackend>(state);
 }
 void BM_ConeEquivCircuit(benchmark::State& state) {
-  runEquivProof(state, cbq::sat::BackendKind::Circuit);
+  runEquivProof<cbq::sat::CircuitSolver>(state);
 }
 void BM_ConeSatCnf(benchmark::State& state) {
-  runSatQuery(state, cbq::sat::BackendKind::Cnf);
+  runSatQuery<cbq::cnf::CnfSolverBackend>(state);
 }
 void BM_ConeSatCircuit(benchmark::State& state) {
-  runSatQuery(state, cbq::sat::BackendKind::Circuit);
+  runSatQuery<cbq::sat::CircuitSolver>(state);
 }
 BENCHMARK(BM_ConeEquivCnf)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_ConeEquivCircuit)->Arg(1000)->Arg(10000)->Arg(100000);

@@ -569,11 +569,8 @@ Report auditCircuitSolver(const sat::CircuitSolver& solver) {
 // ----- SweepContext ---------------------------------------------------
 
 Report auditSweepContext(sweep::SweepContext& ctx, const aig::Aig& aig) {
-  Report r;
-  if (!ctx.boundTo(aig)) return r;  // unbound session: nothing to audit
-  if (ctx.hasCnf()) r.merge(auditCnf(ctx.cnf()));
-  if (ctx.hasCircuit()) r.merge(auditCircuitSolver(ctx.circuitSolver()));
-  return r;
+  if (!ctx.boundTo(aig)) return {};  // unbound session: nothing to audit
+  return auditCircuitSolver(ctx.circuitSolver());
 }
 
 // ----- selftest corruption seam ---------------------------------------

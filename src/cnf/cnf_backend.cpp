@@ -1,7 +1,5 @@
 #include "cnf/cnf_backend.hpp"
 
-#include "sat/circuit_solver.hpp"
-
 namespace cbq::cnf {
 
 sat::Status CnfSolverBackend::solve(std::span<const aig::Lit> assumptions,
@@ -15,13 +13,6 @@ bool CnfSolverBackend::addClause(std::span<const aig::Lit> lits) {
   scratch_.clear();
   for (const aig::Lit l : lits) scratch_.push_back(cnf_->litFor(l));
   return cnf_->solver().addClause(scratch_);
-}
-
-std::unique_ptr<sat::SatBackend> makeSatBackend(sat::BackendKind kind,
-                                                const aig::Aig& aig) {
-  if (kind == sat::BackendKind::Circuit)
-    return std::make_unique<sat::CircuitSolver>(aig);
-  return std::make_unique<CnfSolverBackend>(aig);
 }
 
 }  // namespace cbq::cnf

@@ -1,15 +1,13 @@
 #pragma once
 // The clause-level SAT backend: sat::Solver behind the lazy Tseitin
 // encoder, wrapped into the backend-neutral sat::SatBackend surface so it
-// can be raced query-for-query against the circuit-native solver.
+// can be compared query-for-query against the circuit-native solver.
 //
 // Two ownership modes:
-//  * non-owning — wraps a caller-owned (Solver, AigCnf) pair; this is how
-//    sweep::SweepContext exposes its persistent session solver without
-//    giving up the direct solver()/cnf() accessors audits and tests use.
+//  * non-owning — wraps a caller-owned (Solver, AigCnf) pair, keeping the
+//    direct solver/encoder accessors available to audits and tests.
 //  * owning — constructs a private solver + encoder for one manager; the
-//    standalone uses (trace reconstruction, all-SAT enumeration, bench
-//    and fuzz harnesses) take this.
+//    bench and fuzz harnesses take this.
 
 #include <memory>
 
@@ -49,10 +47,6 @@ class CnfSolverBackend final : public sat::SatBackend {
     cnf_->solver().setInterrupt(std::move(fn));
   }
 
-  [[nodiscard]] bool knows(aig::Lit l) const override {
-    return cnf_->hasVarFor(l.node());
-  }
-
   [[nodiscard]] std::uint64_t conflicts() const override {
     return cnf_->solver().conflicts();
   }
@@ -63,10 +57,6 @@ class CnfSolverBackend final : public sat::SatBackend {
     return cnf_->solver().propagations();
   }
 
-  [[nodiscard]] std::size_t encodedNodes() const override {
-    return cnf_->numEncodedNodes();
-  }
-
   [[nodiscard]] AigCnf& cnf() { return *cnf_; }
 
  private:
@@ -75,11 +65,5 @@ class CnfSolverBackend final : public sat::SatBackend {
   AigCnf* cnf_;
   std::vector<sat::Lit> scratch_;
 };
-
-/// Standalone backend for `kind` over `aig`. `kind` must already be
-/// resolved to a solo engine (Cnf or Circuit — see
-/// sweep::SweepContext::soloKind()); Race/Auto fall back to Cnf.
-[[nodiscard]] std::unique_ptr<sat::SatBackend> makeSatBackend(
-    sat::BackendKind kind, const aig::Aig& aig);
 
 }  // namespace cbq::cnf

@@ -2,28 +2,6 @@
 
 namespace cbq::sat {
 
-const char* backendName(BackendKind kind) {
-  switch (kind) {
-    case BackendKind::Cnf:
-      return "cnf";
-    case BackendKind::Circuit:
-      return "circuit";
-    case BackendKind::Race:
-      return "race";
-    case BackendKind::Auto:
-      return "auto";
-  }
-  return "cnf";
-}
-
-std::optional<BackendKind> parseBackendKind(std::string_view name) {
-  if (name == "cnf") return BackendKind::Cnf;
-  if (name == "circuit") return BackendKind::Circuit;
-  if (name == "race") return BackendKind::Race;
-  if (name == "auto") return BackendKind::Auto;
-  return std::nullopt;
-}
-
 namespace {
 
 /// One assumption-only query mapped onto the Holds/Fails/Unknown scale

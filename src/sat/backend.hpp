@@ -1,13 +1,13 @@
 #pragma once
 // Backend-neutral SAT query surface.
 //
-// Two engines answer the same circuit-level questions: the clause-level
-// `sat::Solver` behind a lazy Tseitin encoding (cnf::AigCnf), and the
-// circuit-native `sat::CircuitSolver` whose propagation walks the AIG
-// directly. Both sit behind this interface so the sweep/quantification
-// layers can race them per query or pick one adaptively, and so trace
-// reconstruction and all-SAT enumeration can run on either without
-// knowing which.
+// Two engines answer the same circuit-level questions: the circuit-native
+// `sat::CircuitSolver`, whose propagation walks the AIG directly and which
+// serves every sweep/quantification/DC/fixpoint/trace query, and the
+// clause-level `sat::Solver` behind a lazy Tseitin encoding
+// (cnf::AigCnf), kept as the independent oracle the tests and benches
+// compare the circuit engine against. Both sit behind this interface so
+// the checks below run on either without knowing which.
 //
 // Queries and learned facts are phrased entirely in aig::Lit — the CNF
 // backend translates to solver variables internally; the circuit backend
@@ -15,27 +15,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <span>
-#include <string_view>
 
 #include "aig/aig.hpp"
 #include "aig/lit.hpp"
 #include "sat/solver.hpp"
 
 namespace cbq::sat {
-
-/// Which engine(s) a SweepContext routes queries to. `Race` runs both on
-/// every query and keeps the faster definitive answer; `Auto` keeps a
-/// per-context EWMA of per-backend query times and routes to the
-/// historical winner (with periodic probes of the loser).
-enum class BackendKind : std::uint8_t { Cnf, Circuit, Race, Auto };
-
-[[nodiscard]] const char* backendName(BackendKind kind);
-
-/// Parses "cnf" | "circuit" | "race" | "auto"; nullopt on anything else.
-[[nodiscard]] std::optional<BackendKind> parseBackendKind(
-    std::string_view name);
 
 /// Three-valued answer of a budgeted semantic check. Holds/Fails are
 /// definitive; Unknown means the budget or an interrupt cut the query
@@ -72,20 +58,10 @@ class SatBackend {
   /// Cooperative cancellation hook, polled during search.
   virtual void setInterrupt(std::function<bool()> fn) = 0;
 
-  /// True when the engine already has state for `l`'s node (the CNF
-  /// backend: an encoded variable). Used to gate fact-learning so a
-  /// side channel never forces an encode the backend would not have done.
-  [[nodiscard]] virtual bool knows(aig::Lit l) const = 0;
-
   /// Effort counters, cumulative over the engine's lifetime.
   [[nodiscard]] virtual std::uint64_t conflicts() const = 0;
   [[nodiscard]] virtual std::uint64_t decisions() const = 0;
   [[nodiscard]] virtual std::uint64_t propagations() const = 0;
-
-  /// Size of the engine's derived encoding, for bloat-driven recycling.
-  /// The circuit backend reports 0: the cone IS the solver state, there
-  /// is nothing to recycle.
-  [[nodiscard]] virtual std::size_t encodedNodes() const = 0;
 };
 
 // Budgeted semantic checks over any backend. Same contracts as the

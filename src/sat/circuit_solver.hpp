@@ -81,9 +81,6 @@ class CircuitSolver final : public SatBackend {
     interrupt_ = std::move(callback);
   }
 
-  /// The circuit backend has state for every node by construction.
-  [[nodiscard]] bool knows(aig::Lit) const override { return true; }
-
   [[nodiscard]] std::uint64_t conflicts() const override {
     return conflicts_;
   }
@@ -93,9 +90,6 @@ class CircuitSolver final : public SatBackend {
   [[nodiscard]] std::uint64_t propagations() const override {
     return propagations_;
   }
-
-  /// The cone is the solver state — nothing is encoded, nothing bloats.
-  [[nodiscard]] std::size_t encodedNodes() const override { return 0; }
 
   // ----- direct surface (mirrors sat::Solver) --------------------------
 

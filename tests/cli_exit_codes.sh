@@ -41,6 +41,12 @@ expect 1 "$CBQ" check "$TMP/broken.aag"
 expect 1 "$CBQ" check "$TMP/safe.aag" --engine no-such-engine
 expect 1 "$CBQ" check "$TMP/safe.aag" --prep bogus-pass
 expect 1 "$CBQ" check "$TMP/safe.aag" --schedule bogus
+# Numeric flags take the whole value as a non-negative number.
+expect 1 "$CBQ" check "$TMP/safe.aag" --timeout abc
+expect 1 "$CBQ" check "$TMP/safe.aag" --timeout 3O
+expect 1 "$CBQ" check "$TMP/safe.aag" --jobs -2
+# The SAT engine is not selectable: the old backend flag is unknown.
+expect 1 "$CBQ" check "$TMP/safe.aag" --sat-backend cnf
 
 # The whole malformed-input corpus: every file is a clean exit-1 parse
 # error — never a crash (which would surface as exit >= 128).

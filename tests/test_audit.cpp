@@ -15,6 +15,7 @@
 #include "mc/network.hpp"
 #include "sat/solver.hpp"
 #include "sweep/signatures.hpp"
+#include "sweep/sweep_context.hpp"
 #include "sweep/union_find.hpp"
 #include "util/random.hpp"
 
@@ -200,6 +201,23 @@ TEST(Audit, DanglingCnfLiteralCaught) {
   ASSERT_NE(andNode, 0u);
   vars[andNode] = sat::kUndefVar;
   EXPECT_TRUE(audit::auditCnf(cnf).has("cnf.litmap.encoded-count"));
+}
+
+// ----- violation class: corrupt sweep-session solver -----------------
+
+TEST(Audit, SweepContextSolverCorruptionCaught) {
+  Aig g = smallAig();
+  sweep::SweepContext ctx;  // default-constructed: no engine choice to make
+  ctx.bind(g);
+  // A learned equivalence lands in the session solver's constraint arena.
+  ctx.learnEquiv(g.pi(0), g.mkAnd(g.pi(1), g.pi(2)));
+  ASSERT_TRUE(audit::auditSweepContext(ctx, g).ok());
+  sat::CircuitSolver& solver = ctx.circuitSolver();
+  const auto gref = Access::circuitPermanents(solver).front();
+  Access::circuitArena(solver)[gref + 2] =
+      Lit(static_cast<aig::NodeId>(1u << 20), false).raw();
+  EXPECT_TRUE(audit::auditSweepContext(ctx, g).has(
+      "circuit.arena.dangling-lit"));
 }
 
 // ----- violation class: unbound latch ---------------------------------

@@ -205,64 +205,34 @@ TEST_P(CircuitDiff, LearntGatesAccumulateWithoutChangingAnswers) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CircuitDiff, ::testing::Range(0, 12));
 
-class ContextRouted : public ::testing::TestWithParam<int> {};
+class ContextQueries : public ::testing::TestWithParam<int> {};
 
-TEST_P(ContextRouted, RaceAndAutoAgreeWithExhaustive) {
-  for (const sat::BackendKind kind :
-       {sat::BackendKind::Race, sat::BackendKind::Auto,
-        sat::BackendKind::Circuit}) {
-    util::Random rng(static_cast<std::uint64_t>(GetParam()) * 53 + 17);
-    aig::Aig g;
-    std::vector<aig::Lit> pool;
-    for (int i = 0; i < 6; ++i)
-      pool.push_back(test::randomFormula(g, rng, kVars, 30));
+TEST_P(ContextQueries, AgreeWithExhaustive) {
+  util::Random rng(static_cast<std::uint64_t>(GetParam()) * 53 + 17);
+  aig::Aig g;
+  std::vector<aig::Lit> pool;
+  for (int i = 0; i < 6; ++i)
+    pool.push_back(test::randomFormula(g, rng, kVars, 30));
 
-    sweep::SweepContext ctx;
-    ctx.setBackend(kind);
-    ctx.bind(g);
-    std::uint64_t queries = 0;
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      for (std::size_t j = i + 1; j < pool.size(); ++j) {
-        const Verdict v = ctx.checkEquiv(pool[i], pool[j]);
-        ++queries;
-        ASSERT_EQ(v == Verdict::Holds,
-                  test::equivalentExhaustive(g, pool[i], pool[j], kVars))
-            << sat::backendName(kind);
-        if (v == Verdict::Fails) {
-          std::vector<bool> m(kVars);
-          for (int vv = 0; vv < kVars; ++vv)
-            m[static_cast<std::size_t>(vv)] =
-                ctx.modelOf(static_cast<aig::VarId>(vv));
-          ASSERT_NE(g.evaluate(pool[i], m), g.evaluate(pool[j], m));
-        }
+  sweep::SweepContext ctx;
+  ctx.bind(g);
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    for (std::size_t j = i + 1; j < pool.size(); ++j) {
+      const Verdict v = ctx.checkEquiv(pool[i], pool[j]);
+      ASSERT_EQ(v == Verdict::Holds,
+                test::equivalentExhaustive(g, pool[i], pool[j], kVars));
+      if (v == Verdict::Fails) {
+        std::vector<bool> m(kVars);
+        for (int vv = 0; vv < kVars; ++vv)
+          m[static_cast<std::size_t>(vv)] =
+              ctx.modelOf(static_cast<aig::VarId>(vv));
+        ASSERT_NE(g.evaluate(pool[i], m), g.evaluate(pool[j], m));
       }
     }
-    const auto& c = ctx.counters();
-    EXPECT_EQ(c.disagreements, 0u) << sat::backendName(kind);
-    EXPECT_EQ(c.cnfWins + c.circuitWins, queries) << sat::backendName(kind);
-    if (kind == sat::BackendKind::Circuit)
-      EXPECT_EQ(c.cnfWins, 0u);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ContextRouted, ::testing::Range(0, 6));
-
-TEST(ContextRouted, BackendSwitchKeepsPairCache) {
-  aig::Aig g;
-  util::Random rng(3);
-  const aig::Lit a = test::randomFormula(g, rng, kVars, 20);
-  const aig::Lit b = test::randomFormula(g, rng, kVars, 20);
-  sweep::SweepContext ctx;
-  ctx.bind(g);
-  ctx.recordProven(a, b);
-  ctx.setBackend(sat::BackendKind::Circuit);
-  EXPECT_TRUE(ctx.hasCircuit());
-  EXPECT_FALSE(ctx.hasCnf());
-  EXPECT_TRUE(ctx.boundTo(g));
-  EXPECT_EQ(ctx.lookupPair(a, b), sweep::SweepContext::PairFact::Proven);
-  // Circuit-only sessions never recycle: nothing is encoded.
-  EXPECT_FALSE(ctx.recycleIfBloated(1, 0.0, 0));
-}
+INSTANTIATE_TEST_SUITE_P(Seeds, ContextQueries, ::testing::Range(0, 6));
 
 // ----- arena auditor + corruption injection ---------------------------
 
@@ -326,25 +296,18 @@ TEST(CircuitAudit, DroppedWatcherIsCaught) {
   EXPECT_TRUE(rep.has("circuit.watch.missing")) << rep.summary();
 }
 
-TEST(CircuitAudit, SweepContextRoutesToLiveEngines) {
+TEST(CircuitAudit, SweepContextAuditsItsSolver) {
   aig::Aig g;
   util::Random rng(5);
   const aig::Lit a = test::randomFormula(g, rng, kVars, 25);
   const aig::Lit b = test::randomFormula(g, rng, kVars, 25);
-  for (const auto kind :
-       {sat::BackendKind::Cnf, sat::BackendKind::Circuit,
-        sat::BackendKind::Race}) {
-    sweep::SweepContext ctx;
-    ctx.setBackend(kind);
-    ctx.bind(g);
-    const aig::Lit roots[] = {a, b};
-    ctx.focusOn(roots);
-    (void)ctx.checkEquiv(a, b);
-    // Must not touch an engine the policy does not keep (a circuit-only
-    // session has no CNF side to audit) and must stay clean.
-    const auto rep = audit::auditSweepContext(ctx, g);
-    EXPECT_TRUE(rep.ok()) << sat::backendName(kind) << ": " << rep.summary();
-  }
+  sweep::SweepContext ctx;
+  ctx.bind(g);
+  const aig::Lit roots[] = {a, b};
+  ctx.focusOn(roots);
+  (void)ctx.checkEquiv(a, b);
+  const auto rep = audit::auditSweepContext(ctx, g);
+  EXPECT_TRUE(rep.ok()) << rep.summary();
 }
 
 }  // namespace
