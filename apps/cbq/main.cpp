@@ -25,6 +25,7 @@
 // failed to load; `bench` returns 0 on verdict agreement, 2 on mismatch.
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -36,7 +37,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -50,9 +50,7 @@
 #include "portfolio/report.hpp"
 #include "portfolio/runner.hpp"
 #include "portfolio/scheduler.hpp"
-#include "sweep/signatures.hpp"
 #include "util/fault.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -66,8 +64,7 @@ struct Args {
   std::size_t nodeLimit = 0;
   int jobs = 0;
   int width = 4;
-  int workers = 1;     // slice-mode worker threads
-  int parThreads = 1;  // intra-problem lanes (prep + signature layer)
+  int workers = 1;  // slice-mode worker threads
   bool unsafe = false;
   bool quiet = false;
   bool audit = false;          // --audit: arm invariant audits (exit 30)
@@ -97,7 +94,6 @@ cbq::portfolio::RunInfo makeRunInfo(const Args& args,
   auto info = cbq::portfolio::RunInfo::capture();
   info.command = args.command;
   info.jobs = args.jobs;
-  info.parThreads = args.parThreads;
   info.schedule = schedule.empty() ? "race" : schedule;
   return info;
 }
@@ -223,8 +219,9 @@ void printFaultStats() {
 #endif
 }
 
-/// Strict non-negative number: the whole of `s` must parse (no trailing
-/// characters, no overflow of T). False on anything else.
+/// Strict non-negative number: the whole of `s` must parse (no sign, no
+/// trailing characters, no overflow of T). Integers go through strtoull,
+/// so an unsigned 64-bit T accepts its full range. False on anything else.
 template <typename T>
 bool parseNonNegative(const char* s, T& out) {
   char* end = nullptr;
@@ -236,10 +233,11 @@ bool parseNonNegative(const char* s, T& out) {
       return false;
     out = static_cast<T>(v);
   } else {
-    const long long v = std::strtoll(s, &end, 10);
-    if (end == s || *end != '\0' || errno != 0 || v < 0 ||
-        static_cast<unsigned long long>(v) >
-            static_cast<unsigned long long>(std::numeric_limits<T>::max()))
+    // strtoull would accept a sign and wrap "-5" to 2^64 - 5: digits only.
+    if (std::isdigit(static_cast<unsigned char>(s[0])) == 0) return false;
+    const unsigned long long v = std::strtoull(s, &end, 10);
+    if (*end != '\0' || errno != 0 ||
+        v > static_cast<unsigned long long>(std::numeric_limits<T>::max()))
       return false;
     out = static_cast<T>(v);
   }
@@ -284,9 +282,7 @@ bool parseArgs(int argc, char** argv, int first, Args& args) {
       if (!v) return false;
       args.inject.emplace_back(v);
     } else if (a == "--inject-seed") {
-      const char* v = value("--inject-seed");
-      if (!v) return false;
-      args.injectSeed = static_cast<std::uint64_t>(std::strtoull(v, nullptr, 10));
+      if (!number("--inject-seed", args.injectSeed)) return false;
     } else if (a == "--mem-limit") {
       if (!number("--mem-limit", args.memLimitMb)) return false;
     } else if (a == "--retries") {
@@ -309,8 +305,6 @@ bool parseArgs(int argc, char** argv, int first, Args& args) {
       args.prepSpec = a.substr(7);
     } else if (a == "--workers") {
       if (!number("--workers", args.workers)) return false;
-    } else if (a == "--par-threads") {
-      if (!number("--par-threads", args.parThreads)) return false;
     } else if (a == "--output" || a == "-o") {
       const char* v = value("-o");
       if (!v) return false;
@@ -359,7 +353,7 @@ int usage() {
       "  cbq check <file> [--engine NAME | --engines A,B,C] [--timeout S]\n"
       "            [--node-limit N] [--schedule race|slice] [--workers N]\n"
       "            [--prep on|off|coi,const,sweep,latchcorr]\n"
-      "            [--par-threads N] [--trace FILE] [--progress]\n"
+      "            [--trace FILE] [--progress]\n"
       "      run the portfolio on one circuit (.aag/.aig/.bench);\n"
       "      --schedule race (default) races engines on threads,\n"
       "      --schedule slice round-robins persistent engine sessions on\n"
@@ -367,9 +361,7 @@ int usage() {
       "      a single --engine runs that engine alone. The preprocessing\n"
       "      pipeline (--prep, default on) shrinks the problem before any\n"
       "      engine starts; counterexamples are lifted back and replayed\n"
-      "      on the original circuit. --par-threads N parallelizes the\n"
-      "      preprocessing + signature layer INSIDE one problem (results\n"
-      "      are bit-identical at any N). --trace FILE records a Chrome\n"
+      "      on the original circuit. --trace FILE records a Chrome\n"
       "      trace-event profile (chrome://tracing / Perfetto); --progress\n"
       "      streams NDJSON progress events on stderr.\n"
       "      --audit runs the deep-invariant auditor on the loaded circuit\n"
@@ -381,10 +373,10 @@ int usage() {
       "      30 audit violation (only with --audit)\n"
       "  cbq batch <dir-or-files...> [--jobs N] [--engines A,B,C]\n"
       "            [--timeout S] [--node-limit N] [--schedule race|slice]\n"
-      "            [--prep ...] [--par-threads N] [--json F] [--csv F]\n"
+      "            [--prep ...] [--json F] [--csv F]\n"
       "            [--quiet] [--trace FILE] [--progress]\n"
-      "      verify every circuit file with a worker pool; --timeout is\n"
-      "      the per-problem budget\n"
+      "      verify every circuit file on --jobs worker threads;\n"
+      "      --timeout is the per-problem budget\n"
       "  cbq gen <family> [--width N] [--unsafe] [-o file.aag]\n"
       "      emit a built-in benchmark family instance as AIGER ascii\n"
       "      (or binary with -o file.aig); family `giant` scales to\n"
@@ -421,13 +413,7 @@ int usage() {
       "      rate, solver effort. --schedule seq (default) runs one\n"
       "      engine sequentially (default cbq-reach); slice/race run the\n"
       "      engine portfolio time-sliced on one core / racing on\n"
-      "      threads; --smoke restricts to a few tiny circuits for CI\n"
-      "  cbq bench-par [--par-threads N] [--timeout S] [--smoke] [-o FILE]\n"
-      "      intra-problem parallelism harness: times the signature\n"
-      "      resimulation kernel (reference / SIMD / threaded) and the\n"
-      "      end-to-end check at 1 vs N lanes on giant-family instances\n"
-      "      (million-AND scale; --smoke shrinks them for CI) and writes\n"
-      "      BENCH_par.json; exits 2 if the verdicts disagree\n",
+      "      threads; --smoke restricts to a few tiny circuits for CI\n",
       stderr);
   return 1;
 }
@@ -503,16 +489,6 @@ int cmdCheck(const Args& args) {
   if (!parseSchedule(args.schedule, opts.schedule)) return 1;
   if (!parsePrep(args.prepSpec, opts.prep)) return 1;
   opts.sliceWorkers = args.workers;
-
-  // One process-wide pool: the pool's one-region-at-a-time guard keeps
-  // the intra-problem thread budget global even if engine-level threads
-  // reach preprocessing code concurrently.
-  std::unique_ptr<cbq::util::ThreadPool> pool;
-  if (args.parThreads > 1) {
-    pool = std::make_unique<cbq::util::ThreadPool>(args.parThreads);
-    opts.prep.pool = pool.get();
-    opts.parThreads = args.parThreads;
-  }
 
   // --progress streams NDJSON events on stderr; the streamer must outlive
   // the run because engine threads call into it at slice boundaries.
@@ -651,15 +627,6 @@ int cmdBatch(const Args& args) {
   if (!parseSchedule(args.schedule, opts.portfolio.schedule)) return 1;
   if (!parsePrep(args.prepSpec, opts.portfolio.prep)) return 1;
   opts.portfolio.sliceWorkers = args.workers;
-
-  // Batch workers share ONE pool; its busy-guard serializes the parallel
-  // regions, so --jobs and --par-threads never multiply thread counts.
-  std::unique_ptr<cbq::util::ThreadPool> pool;
-  if (args.parThreads > 1) {
-    pool = std::make_unique<cbq::util::ThreadPool>(args.parThreads);
-    opts.portfolio.prep.pool = pool.get();
-    opts.portfolio.parThreads = args.parThreads;
-  }
 
   std::unique_ptr<cbq::obs::ProgressStreamer> streamer;
   if (args.progress) {
@@ -825,11 +792,6 @@ int cmdBench(const Args& args) {
   }
   cbq::prep::PrepOptions prepOpts;
   if (!parsePrep(args.prepSpec, prepOpts)) return 1;
-  std::unique_ptr<cbq::util::ThreadPool> pool;
-  if (args.parThreads > 1) {
-    pool = std::make_unique<cbq::util::ThreadPool>(args.parThreads);
-    prepOpts.pool = pool.get();
-  }
 
   auto instances = cbq::circuits::standardSuite();
   if (args.smoke) {
@@ -991,159 +953,6 @@ int cmdBench(const Args& args) {
 
   std::printf("%zu circuits, %d solved, %d mismatches, %.3fs total -> %s\n",
               rows.size(), solved, mismatches, total, outPath.c_str());
-  return mismatches == 0 ? 0 : 2;
-}
-
-/// `cbq bench-par`: the intra-problem parallelism harness. Generates
-/// giant-family instances (million-AND scale unless --smoke), times the
-/// signature-resimulation kernel in its three shapes — column-major
-/// reference, node-major SIMD-friendly serial, node-major + thread pool —
-/// and the end-to-end check at --par-threads 1 vs N, then writes
-/// BENCH_par.json. The verdicts at both thread counts must agree (exit 2
-/// otherwise); host_threads in the report keeps numbers honest when the
-/// machine has fewer cores than the requested lane count.
-int cmdBenchPar(const Args& args) {
-  const unsigned hw = std::thread::hardware_concurrency();
-  const int threads = args.parThreads > 1
-                          ? args.parThreads
-                          : static_cast<int>(hw > 2 ? hw : 2);
-  const double timeout = args.timeout > 0.0 ? args.timeout : 300.0;
-  const std::string outPath =
-      args.output.empty() ? "BENCH_par.json" : args.output;
-
-  // The giant family costs ~16 ANDs per width unit (two mixing copies):
-  // width 31250 ~ 0.5M ANDs, width 62500 ~ 1M ANDs.
-  struct Spec {
-    int width;
-    bool safe;
-  };
-  std::vector<Spec> specs;
-  if (args.smoke) {
-    specs = {{200, true}, {200, false}};
-  } else {
-    specs = {{31250, true}, {31250, false}, {62500, true}};
-  }
-
-  auto bestOfMs = [](int reps, auto&& fn) {
-    double best = 1e30;
-    for (int rep = 0; rep < reps; ++rep) {
-      cbq::util::Timer t;
-      fn();
-      best = std::min(best, t.seconds());
-    }
-    return best * 1e3;
-  };
-
-  struct Row {
-    std::string name;
-    std::size_t ands = 0, sigNodes = 0;
-    double refMs = 0, simdMs = 0, parMs = 0;
-    double serialSec = 0, parSec = 0;
-    const char* expected;
-    const char* v1;
-    const char* vN;
-    bool agree = true;
-  };
-  std::vector<Row> rows;
-  int mismatches = 0;
-  constexpr int kWords = 16;
-  constexpr int kReps = 3;
-
-  for (const Spec& spec : specs) {
-    const auto inst =
-        cbq::circuits::makeInstance("giant", spec.width, spec.safe);
-    Row row;
-    std::ostringstream name;
-    name << "giant" << spec.width << (spec.safe ? "_safe" : "_unsafe");
-    row.name = name.str();
-    row.ands = inst.net.aig.numAnds();
-    row.expected = cbq::mc::toString(inst.expected);
-
-    // Signature kernel over the full root cone (next functions + bad) —
-    // the same cone the sweeper refines.
-    std::vector<cbq::aig::Lit> roots = inst.net.next;
-    roots.push_back(inst.net.bad);
-    const auto order = inst.net.aig.coneAnds(roots);
-    const auto support = inst.net.aig.supportVars(roots);
-    row.sigNodes = order.size();
-    {
-      cbq::util::Random rng(1);
-      cbq::sweep::Signatures sigs(inst.net.aig, order, support, rng,
-                                  kWords, kWords);
-      row.refMs = bestOfMs(kReps, [&] { sigs.resimulateAllReference(); });
-      row.simdMs = bestOfMs(kReps, [&] { sigs.resimulateAll(); });
-    }
-    {
-      cbq::util::ThreadPool pool(threads);
-      cbq::util::Random rng(1);
-      cbq::sweep::Signatures sigs(inst.net.aig, order, support, rng,
-                                  kWords, kWords, &pool);
-      row.parMs = bestOfMs(kReps, [&] { sigs.resimulateAll(); });
-    }
-
-    // End-to-end: the same single-engine check at 1 lane and N lanes.
-    auto runCheck = [&](int lanes, double& seconds) {
-      cbq::portfolio::PortfolioOptions popts;
-      popts.engines = {"cbq-reach"};
-      popts.timeLimitSeconds = timeout;
-      popts.parThreads = lanes;
-      const cbq::portfolio::PortfolioRunner runner(popts);
-      cbq::util::Timer t;
-      const auto pr = runner.run(inst.net);
-      seconds = t.seconds();
-      return pr.best.verdict;
-    };
-    const Verdict v1 = runCheck(1, row.serialSec);
-    const Verdict vN = runCheck(threads, row.parSec);
-    row.v1 = cbq::mc::toString(v1);
-    row.vN = cbq::mc::toString(vN);
-    row.agree = v1 == vN &&
-                (v1 == Verdict::Unknown || v1 == inst.expected);
-    if (!row.agree) ++mismatches;
-    if (!args.quiet) {
-      std::printf("%-20s %8zu ands  resim ref %.1fms simd %.1fms "
-                  "par(%d) %.1fms  check 1t %.2fs %dt %.2fs  %s/%s%s\n",
-                  row.name.c_str(), row.ands, row.refMs, row.simdMs,
-                  threads, row.parMs, row.serialSec, threads, row.parSec,
-                  row.v1, row.vN, row.agree ? "" : "  MISMATCH");
-      std::fflush(stdout);
-    }
-    rows.push_back(std::move(row));
-  }
-
-  std::ofstream out(outPath);
-  if (!out) {
-    std::fprintf(stderr, "cbq: cannot write %s\n", outPath.c_str());
-    return 1;
-  }
-  out << "{\n";
-  out << "  \"run\": ";
-  makeRunInfo(args, "par").writeJson(out);
-  out << ",\n";
-  out << "  \"host_threads\": " << hw << ",\n";
-  out << "  \"par_threads\": " << threads << ",\n";
-  out << "  \"sig_words\": " << kWords << ",\n";
-  out << "  \"smoke\": " << (args.smoke ? "true" : "false") << ",\n";
-  out << "  \"verdict_mismatches\": " << mismatches << ",\n";
-  out << "  \"results\": [";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    out << (i == 0 ? "\n" : ",\n");
-    out << "    {\"name\": \"" << r.name << "\", \"ands\": " << r.ands
-        << ", \"sig_nodes\": " << r.sigNodes
-        << ", \"resim_reference_ms\": " << r.refMs
-        << ", \"resim_simd_ms\": " << r.simdMs
-        << ", \"resim_threaded_ms\": " << r.parMs
-        << ", \"check_1thread_seconds\": " << r.serialSec
-        << ", \"check_par_seconds\": " << r.parSec
-        << ", \"expected\": \"" << r.expected << "\", \"verdict_1thread\": \""
-        << r.v1 << "\", \"verdict_par\": \"" << r.vN
-        << "\", \"agree\": " << (r.agree ? "true" : "false") << "}";
-  }
-  out << "\n  ]\n}\n";
-
-  std::printf("%zu instances, %d mismatches -> %s\n", rows.size(),
-              mismatches, outPath.c_str());
   return mismatches == 0 ? 0 : 2;
 }
 
@@ -1325,7 +1134,6 @@ int main(int argc, char** argv) {
   if (cmd == "engines") return cmdEngines();
   if (cmd == "soak") return cmdSoak(args);
   if (cmd == "bench") return cmdBench(args);
-  if (cmd == "bench-par") return cmdBenchPar(args);
   if (cmd == "check") return cmdCheck(args);
   if (cmd == "batch") return cmdBatch(args);
   if (cmd == "gen") return cmdGen(args);

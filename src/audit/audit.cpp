@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <initializer_list>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -358,7 +359,6 @@ Report auditSignatures(const sweep::Signatures& sigs) {
   const auto& slotOf = Access::slotOf(sigs);
   const auto& arena = Access::arena(sigs);
   const auto& order = Access::order(sigs);
-  const auto& levelOrder = Access::levelOrder(sigs);
   const std::size_t stride = sigs.stride();
 
   if (sigs.words() > stride)
@@ -391,19 +391,25 @@ Report auditSignatures(const sweep::Signatures& sigs) {
                 .str());
   }
 
-  // The stratified order is a permutation of the cone order; every cone
-  // node holds a slot.
+  // Serial resimulation writes each row once, walking the cone order
+  // front to back: every fanin of an order node must be the constant, a
+  // support PI, or an earlier order node.
   {
-    std::vector<aig::NodeId> x(order.begin(), order.end());
-    std::vector<aig::NodeId> y(levelOrder.begin(), levelOrder.end());
-    std::sort(x.begin(), x.end());
-    std::sort(y.begin(), y.end());
-    if (x != y)
-      r.add("sig.strata.order",
-            (Diag() << "level order (" << y.size()
-                    << " nodes) is not a permutation of the cone order ("
-                    << x.size() << " nodes)")
-                .str());
+    const aig::Aig& a = Access::aig(sigs);
+    std::vector<std::uint8_t> ready(a.numNodes(), 0);
+    ready[0] = 1;
+    for (const aig::NodeId p : Access::supportNodes(sigs))
+      if (p < ready.size()) ready[p] = 1;
+    for (const aig::NodeId n : order) {
+      if (n >= ready.size() || !a.isAnd(n)) continue;
+      for (const aig::Lit f : {a.fanin0(n), a.fanin1(n)})
+        if (ready[f.node()] == 0)
+          r.add("sig.order.topological",
+                (Diag() << "cone-order node " << n << " reads fanin "
+                        << f.node() << " before it is simulated")
+                    .str());
+      ready[n] = 1;
+    }
   }
   for (const aig::NodeId n : order)
     if (!sigs.inCone(n))

@@ -234,10 +234,14 @@ struct Access {
   static const std::vector<aig::NodeId>& order(const sweep::Signatures& s) {
     return s.order_;
   }
-  static const std::vector<aig::NodeId>& levelOrder(
-      const sweep::Signatures& s) {
-    return s.levelOrder_;
+  static std::vector<aig::NodeId>& order(sweep::Signatures& s) {
+    return s.order_;
   }
+  static const std::vector<aig::NodeId>& supportNodes(
+      const sweep::Signatures& s) {
+    return s.supportNode_;
+  }
+  static const aig::Aig& aig(const sweep::Signatures& s) { return *s.aig_; }
 
   // UnionFind
   static std::vector<std::uint32_t>& parents(sweep::UnionFind& u) {

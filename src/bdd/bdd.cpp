@@ -6,6 +6,31 @@
 
 namespace cbq::bdd {
 
+namespace {
+
+constexpr std::size_t kMinUniqueSlots = 256;
+// The ITE table doubles whenever the arena outgrows kNodesPerIteSlot
+// nodes per slot, up to kMaxIteSlots (16 MB).
+constexpr std::size_t kMinIteSlots = 256;
+constexpr std::size_t kMaxIteSlots = std::size_t{1} << 20;
+constexpr std::size_t kNodesPerIteSlot = 4;
+
+std::size_t hash3(std::uint32_t a, std::uint32_t b, std::uint32_t c) {
+  std::uint64_t h = a;
+  h = h * 0x9e3779b97f4a7c15ULL + b;
+  h = h * 0x9e3779b97f4a7c15ULL + c;
+  h ^= h >> 31;
+  h *= 0xbf58476d1ce4e5b9ULL;
+  return static_cast<std::size_t>(h ^ (h >> 32));
+}
+
+}  // namespace
+
+BddManager::BddManager(std::size_t nodeLimit)
+    : unique_(kMinUniqueSlots, kFalseBdd),
+      iteCache_(kMinIteSlots),
+      nodeLimit_(nodeLimit) {}
+
 std::uint32_t BddManager::levelOf(aig::VarId v) {
   auto it = varLevel_.find(v);
   if (it != varLevel_.end()) return it->second;
@@ -17,8 +42,12 @@ std::uint32_t BddManager::levelOf(aig::VarId v) {
 
 BddRef BddManager::mkNode(std::uint32_t level, BddRef lo, BddRef hi) {
   if (lo == hi) return lo;
-  const UniqueKey key{level, lo, hi};
-  if (auto it = unique_.find(key); it != unique_.end()) return it->second;
+  const std::size_t mask = unique_.size() - 1;
+  std::size_t slot = hash3(level, lo, hi) & mask;
+  for (; unique_[slot] != kFalseBdd; slot = (slot + 1) & mask) {
+    const Node& n = nodes_[unique_[slot] - 2];
+    if (n.level == level && n.lo == lo && n.hi == hi) return unique_[slot];
+  }
   if (nodeLimit_ != 0 && nodes_.size() >= nodeLimit_) throw NodeLimitExceeded{};
   if (interrupt_ && (++allocsSinceInterruptPoll_ & 255u) == 0 &&
       interrupt_())
@@ -28,8 +57,32 @@ BddRef BddManager::mkNode(std::uint32_t level, BddRef lo, BddRef hi) {
   CBQ_FAULT_POINT("bdd.alloc");
   nodes_.push_back(Node{level, lo, hi});
   const auto ref = static_cast<BddRef>(nodes_.size() + 1);  // ids offset by 2
-  unique_.emplace(key, ref);
+  unique_[slot] = ref;
+  if (2 * nodes_.size() > unique_.size()) growUnique();
+  if (nodes_.size() > kNodesPerIteSlot * iteCache_.size() &&
+      iteCache_.size() < kMaxIteSlots)
+    growIteCache();
   return ref;
+}
+
+void BddManager::growUnique() {
+  std::vector<BddRef> grown(2 * unique_.size(), kFalseBdd);
+  const std::size_t mask = grown.size() - 1;
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    const Node& n = nodes_[i];
+    std::size_t slot = hash3(n.level, n.lo, n.hi) & mask;
+    while (grown[slot] != kFalseBdd) slot = (slot + 1) & mask;
+    grown[slot] = static_cast<BddRef>(i + 2);
+  }
+  unique_.swap(grown);
+}
+
+void BddManager::growIteCache() {
+  std::vector<IteEntry> grown(2 * iteCache_.size());
+  const std::size_t mask = grown.size() - 1;
+  for (const IteEntry& e : iteCache_)
+    if (e.f != kFalseBdd) grown[hash3(e.f, e.g, e.h) & mask] = e;
+  iteCache_.swap(grown);
 }
 
 BddRef BddManager::var(aig::VarId v) {
@@ -45,8 +98,10 @@ BddRef BddManager::ite(BddRef f, BddRef g, BddRef h) {
   if (f == g) return ite(f, kTrueBdd, h);
   if (f == h) return ite(f, g, kFalseBdd);
 
-  const TripleKey key{f, g, h};
-  if (auto it = iteCache_.find(key); it != iteCache_.end()) return it->second;
+  const std::size_t hash = hash3(f, g, h);
+  if (const IteEntry& e = iteCache_[hash & (iteCache_.size() - 1)];
+      e.f == f && e.g == g && e.h == h)
+    return e.r;
 
   const std::uint32_t top =
       std::min({nodeLevel(f), nodeLevel(g), nodeLevel(h)});
@@ -57,7 +112,8 @@ BddRef BddManager::ite(BddRef f, BddRef g, BddRef h) {
   const BddRef r0 = ite(cof(f, false), cof(g, false), cof(h, false));
   const BddRef r1 = ite(cof(f, true), cof(g, true), cof(h, true));
   const BddRef r = mkNode(top, r0, r1);
-  iteCache_.emplace(key, r);
+  // The recursion may have grown the table: index with its current size.
+  iteCache_[hash & (iteCache_.size() - 1)] = IteEntry{f, g, h, r};
   return r;
 }
 
@@ -260,7 +316,9 @@ std::unordered_map<aig::VarId, bool> BddManager::anySat(BddRef f) const {
   return out;
 }
 
-void BddManager::clearCaches() { iteCache_.clear(); }
+void BddManager::clearCaches() {
+  std::fill(iteCache_.begin(), iteCache_.end(), IteEntry{});
+}
 
 BddRef aigToBdd(const aig::Aig& aig, aig::Lit root, BddManager& mgr) {
   const aig::Lit roots[] = {root};

@@ -10,11 +10,12 @@
 //    by and-exists over a partitioned transition relation).
 //
 // Design: no complement edges (canonicity is then plain structural
-// equality), arena allocation without garbage collection, ite-based
-// operators with computed tables, and a hard node limit signalled by
-// NodeLimitExceeded — resource aborts are the one place this codebase
-// uses exceptions for control flow, because they must unwind through
-// deep operator recursions.
+// equality), arena allocation without garbage collection, an open-
+// addressing unique table over the arena, ite-based operators with a
+// lossy computed table sized to the arena, and a hard node limit
+// signalled by NodeLimitExceeded — resource aborts are the one place
+// this codebase uses exceptions for control flow, because they must
+// unwind through deep operator recursions.
 
 #include <cstdint>
 #include <functional>
@@ -47,7 +48,7 @@ struct Interrupted : std::runtime_error {
 class BddManager {
  public:
   /// `nodeLimit` caps the total number of allocated nodes (0 = unlimited).
-  explicit BddManager(std::size_t nodeLimit = 0) : nodeLimit_(nodeLimit) {}
+  explicit BddManager(std::size_t nodeLimit = 0);
 
   /// Installs a cooperative interrupt, polled every few hundred node
   /// allocations; when it returns true the current operation throws
@@ -130,19 +131,6 @@ class BddManager {
     BddRef hi;  // value when the level's variable is 1
   };
 
-  struct UniqueKey {
-    std::uint32_t level;
-    BddRef lo, hi;
-    bool operator==(const UniqueKey&) const = default;
-  };
-  struct UniqueHash {
-    std::size_t operator()(const UniqueKey& k) const {
-      std::uint64_t h = k.level;
-      h = h * 0x9e3779b97f4a7c15ULL + k.lo;
-      h = h * 0x9e3779b97f4a7c15ULL + k.hi;
-      return static_cast<std::size_t>(h ^ (h >> 32));
-    }
-  };
   struct TripleKey {
     BddRef a, b, c;
     bool operator==(const TripleKey&) const = default;
@@ -166,6 +154,8 @@ class BddManager {
   [[nodiscard]] BddRef hi(BddRef f) const { return nodes_[f - 2].hi; }
 
   BddRef mkNode(std::uint32_t level, BddRef lo, BddRef hi);
+  void growUnique();
+  void growIteCache();
   BddRef existsOne(BddRef f, std::uint32_t level,
                    std::unordered_map<BddRef, BddRef>& memo);
   BddRef composeRec(BddRef f,
@@ -174,9 +164,21 @@ class BddManager {
   BddRef andExistsRec(BddRef f, BddRef g, const std::vector<bool>& quantified,
                       std::unordered_map<TripleKey, BddRef, TripleHash>& memo);
 
+  /// One ite(f, g, h) = r memo; f == kFalseBdd marks an empty slot (ite
+  /// never caches a terminal f).
+  struct IteEntry {
+    BddRef f = kFalseBdd, g = kFalseBdd, h = kFalseBdd, r = kFalseBdd;
+  };
+
   std::vector<Node> nodes_;  // node i stored at index i-2
-  std::unordered_map<UniqueKey, BddRef, UniqueHash> unique_;
-  std::unordered_map<TripleKey, BddRef, TripleHash> iteCache_;
+  /// Unique table: linear probing over node refs (kFalseBdd = empty, the
+  /// key is read back from nodes_), power-of-two sized, at most half full.
+  std::vector<BddRef> unique_;
+  /// ITE computed table: direct-mapped, a collision overwrites. Grown with
+  /// the arena up to a cap. A lost entry only costs a recomputation whose
+  /// nodes all exist already, so results, node ids and the allocation
+  /// count (node limit, interrupt polls) are those of an exact memo.
+  std::vector<IteEntry> iteCache_;
   std::unordered_map<aig::VarId, std::uint32_t> varLevel_;
   std::vector<aig::VarId> levelToVar_;
   std::size_t nodeLimit_;

@@ -70,7 +70,8 @@ std::vector<Instance> standardSuite() {
     suite.push_back(makeInstance("peterson", 0, safe));
     suite.push_back(makeInstance("haystack", 3, safe));
     // Small enough for every engine raw (the BDD baselines blow up on
-    // the wide mixing support past ~width 10); bench-par scales it up.
+    // the wide mixing support past ~width 10); larger widths reach the
+    // million-gate range.
     suite.push_back(makeInstance("giant", 8, safe));
   }
   return suite;

@@ -22,8 +22,8 @@
 // corrupt a trace), anchored at process start so Chrome's timeline starts
 // near zero.
 //
-// Categories in use: prep, engine, sat, sweep, quant, bdd, pool, sched —
-// one Perfetto track per thread (worker lane), colored by category. See
+// Categories in use: prep, engine, sat, sweep, quant, bdd, sched — one
+// Perfetto track per thread (worker), colored by category. See
 // README "Observability".
 
 #include <atomic>
@@ -63,7 +63,7 @@ void disableTracing();
 /// Drops every recorded event (buffers stay registered).
 void clearTrace();
 
-/// Labels the calling thread's track in the trace viewer ("pool lane 3",
+/// Labels the calling thread's track in the trace viewer ("race bmc",
 /// "slice worker 0", ...). Cheap; callable whether or not tracing is
 /// enabled (the label sticks for the thread's lifetime).
 void setThreadLabel(std::string_view label);

@@ -1,6 +1,5 @@
 #include "portfolio/runner.hpp"
 
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -10,7 +9,6 @@
 #include "obs/tracer.hpp"
 #include "portfolio/time_slice.hpp"
 #include "util/sync.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace cbq::portfolio {
@@ -34,21 +32,14 @@ PortfolioResult PortfolioRunner::run(const mc::Network& net) const {
   // Preprocessing: once per problem, before any engine starts, bounded
   // by the same whole-problem time limit the engines get (the remainder
   // is what the schedulers may spend). The schedulers then clone the
-  // (possibly reduced) problem per worker. A parThreads budget > 1
-  // equips the pipeline with a per-run worker pool unless the caller
-  // already shares one (the CLI creates a single process-wide pool).
-  prep::PrepOptions prepOpts = opts_.prep;
-  std::unique_ptr<util::ThreadPool> ownPool;
-  if (prepOpts.pool == nullptr && opts_.parThreads > 1) {
-    ownPool = std::make_unique<util::ThreadPool>(opts_.parThreads);
-    prepOpts.pool = ownPool.get();
-  }
+  // (possibly reduced) problem per worker.
+  //
   // Preprocessing failure containment: a pass blowing up costs us the
   // reduction, not the problem. Fall back to the identity preparation and
   // let the engines check the original network.
   prep::PreparedProblem prepared;
   try {
-    prepared = prep::Pipeline(prepOpts).run(
+    prepared = prep::Pipeline(opts_.prep).run(
         net, Budget(opts_.timeLimitSeconds)
                  .withRssLimit(opts_.rssLimitBytes));
   } catch (const audit::AuditError&) {

@@ -35,10 +35,6 @@
 
 #include "aig/aig.hpp"
 
-namespace cbq::util {
-class ThreadPool;
-}
-
 namespace cbq::sweep {
 
 class SweepContext;
@@ -68,11 +64,6 @@ struct SweepOptions {
   /// to the same manager the sweep runs in; sweep() calls bind() itself.
   SweepContext* context = nullptr;
 
-  /// Intra-sweep parallelism (non-owning; null = serial): signature
-  /// simulation runs stratum-parallel and class refinement shards across
-  /// the pool's lanes. Results — classes, merges, rebuilt roots — are
-  /// bit-identical at any thread count (tests/test_parallel.cpp).
-  util::ThreadPool* pool = nullptr;
 };
 
 struct SweepStats {

@@ -45,6 +45,13 @@ expect 1 "$CBQ" check "$TMP/safe.aag" --schedule bogus
 expect 1 "$CBQ" check "$TMP/safe.aag" --timeout abc
 expect 1 "$CBQ" check "$TMP/safe.aag" --timeout 3O
 expect 1 "$CBQ" check "$TMP/safe.aag" --jobs -2
+# --inject-seed spans the full uint64 range but takes no sign or garbage.
+expect 1 "$CBQ" check "$TMP/safe.aag" --inject-seed abc
+expect 1 "$CBQ" check "$TMP/safe.aag" --inject-seed -5
+expect 0 "$CBQ" check "$TMP/safe.aag" --inject-seed 18446744073709551615 \
+  --timeout 60
+# Intra-problem threading is gone: its old flag is unknown.
+expect 1 "$CBQ" check "$TMP/safe.aag" --par-threads 4
 # The SAT engine is not selectable: the old backend flag is unknown.
 expect 1 "$CBQ" check "$TMP/safe.aag" --sat-backend cnf
 

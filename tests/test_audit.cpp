@@ -7,6 +7,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "audit/audit.hpp"
@@ -277,6 +278,25 @@ TEST(Audit, SignatureSlotViolationsCaught) {
   ASSERT_GE(order.size(), 2u);
   slotOf[order[1]] = slotOf[order[0]];  // two nodes aliasing one row
   EXPECT_TRUE(audit::auditSignatures(sigs).has("sig.slot.duplicate"));
+}
+
+TEST(Audit, SignatureOrderViolationCaught) {
+  Aig g = smallAig();
+  const Lit inner = g.mkAnd(g.pi(0), g.pi(1));
+  const Lit root = g.mkAnd(inner, g.pi(2));
+  const Lit roots[] = {root};
+  const auto order = g.coneAnds(roots);
+  const auto support = g.supportVars(roots);
+  util::Random rng(7);
+  sweep::Signatures sigs(g, order, support, rng, 2, 4);
+  ASSERT_FALSE(audit::auditSignatures(sigs).has("sig.order.topological"));
+
+  // The root reads `inner`; placing it first breaks the serial walk.
+  auto& cone = Access::order(sigs);
+  ASSERT_EQ(cone.size(), 2u);
+  ASSERT_EQ(cone[0], inner.node());
+  std::swap(cone[0], cone[1]);
+  EXPECT_TRUE(audit::auditSignatures(sigs).has("sig.order.topological"));
 }
 
 // ----- machinery ------------------------------------------------------

@@ -175,6 +175,34 @@ TEST(Bdd, NodeLimitThrows) {
       bdd::NodeLimitExceeded);
 }
 
+// OR of x_i & y_i with every x ordered above every y: the BDD is
+// exponential in the pairs, so both the unique table and the lossy ITE
+// table outgrow their initial size. Rebuilding after the ITE table is
+// dropped must find every node again: same root, no new node.
+TEST(Bdd, RecomputationAfterCacheLossAllocatesNothing) {
+  constexpr int kPairs = 10;
+  BddManager m;
+  for (int v = 0; v < 2 * kPairs; ++v)
+    m.registerVar(static_cast<aig::VarId>(v));
+  auto build = [&] {
+    BddRef f = kFalseBdd;
+    for (int i = 0; i < kPairs; ++i) {
+      const BddRef x = m.var(static_cast<aig::VarId>(i));
+      const BddRef y = m.var(static_cast<aig::VarId>(kPairs + i));
+      f = m.bddOr(f, m.bddAnd(x, y));
+    }
+    return f;
+  };
+  const BddRef f = build();
+  const std::size_t nodes = m.numNodes();
+  EXPECT_GT(nodes, 1024u);
+  // 4^10 assignments of the pairs minus the 3^10 with no pair both true.
+  EXPECT_DOUBLE_EQ(m.satCount(f), 1048576.0 - 59049.0);
+  m.clearCaches();
+  EXPECT_EQ(build(), f);
+  EXPECT_EQ(m.numNodes(), nodes);
+}
+
 TEST(Bdd, AnySatFindsWitness) {
   BddManager m;
   const BddRef a = m.var(0);

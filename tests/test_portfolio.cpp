@@ -321,5 +321,27 @@ TEST(Reports, JsonAndCsvCarryTheBatch) {
   EXPECT_NE(csv.str().find("UNSAFE"), std::string::npos);
 }
 
+// ----- verdicts on generated families ----------------------------------------
+
+TEST(PortfolioRunner, CbqReachVerdictsMatchExpected) {
+  struct Spec {
+    const char* family;
+    int width;
+    bool safe;
+  };
+  const Spec specs[] = {{"counter", 4, true}, {"counter", 4, false},
+                        {"haystack", 4, true}, {"giant", 60, true},
+                        {"giant", 60, false}};
+  for (const Spec& spec : specs) {
+    const auto inst =
+        circuits::makeInstance(spec.family, spec.width, spec.safe);
+    portfolio::PortfolioOptions opts;
+    opts.engines = {"cbq-reach"};
+    EXPECT_EQ(portfolio::PortfolioRunner(opts).run(inst.net).best.verdict,
+              inst.expected)
+        << spec.family << spec.width;
+  }
+}
+
 }  // namespace
 }  // namespace cbq
