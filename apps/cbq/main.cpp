@@ -44,6 +44,7 @@
 #include "circuits/io.hpp"
 #include "circuits/suite.hpp"
 #include "mc/engines.hpp"
+#include "obs/json.hpp"
 #include "obs/memory.hpp"
 #include "obs/progress.hpp"
 #include "obs/tracer.hpp"
@@ -918,9 +919,10 @@ int cmdBench(const Args& args) {
   makeRunInfo(args, schedule).writeJson(out);
   out << ",\n";
   out << "  \"engine\": \""
-      << (schedule == "seq" ? engineName : "portfolio-" + schedule)
+      << cbq::obs::jsonEscape(schedule == "seq" ? engineName
+                                                : "portfolio-" + schedule)
       << "\",\n";
-  out << "  \"schedule\": \"" << schedule << "\",\n";
+  out << "  \"schedule\": \"" << cbq::obs::jsonEscape(schedule) << "\",\n";
   out << "  \"prep\": " << (prepOpts.enabled ? "true" : "false") << ",\n";
   out << "  \"timeout_seconds\": " << timeout << ",\n";
   out << "  \"circuits\": " << rows.size() << ",\n";
@@ -936,8 +938,9 @@ int cmdBench(const Args& args) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     out << (i == 0 ? "\n" : ",\n");
-    out << "    {\"name\": \"" << r.name << "\", \"winner\": \""
-        << r.winner << "\", \"expected\": \"" << r.expected
+    out << "    {\"name\": \"" << cbq::obs::jsonEscape(r.name)
+        << "\", \"winner\": \"" << cbq::obs::jsonEscape(r.winner)
+        << "\", \"expected\": \"" << r.expected
         << "\", \"verdict\": \"" << r.verdict
         << "\", \"steps\": " << r.steps << ", \"seconds\": " << r.seconds
         << ", \"sweeper_sat_checks\": " << r.sweepChecks

@@ -43,7 +43,6 @@ int main(int argc, char** argv) {
   plain.useSubstitution = false;
   plain.mergePhase = false;
   plain.optPhase = false;
-  plain.rewriteResult = false;
   quant::Quantifier qPlain(mgr, plain);
   const aig::Lit rPlain = qPlain.quantifyVarForced(pre, enable);
   std::printf("shannon expansion only:   %4zu AND nodes\n",

@@ -77,12 +77,9 @@ Trace reconstructTrace(const Network& net, aig::Aig& archive,
 
 BackwardReachSession::BackwardReachSession(
     const Network& net, std::string engineName, const ReachLimits& limits,
-    const CompactionPolicy& compaction, std::size_t hardConeLimit,
     InputEliminator eliminate)
     : net_(&net),
       limits_(limits),
-      compaction_(compaction),
-      hardConeLimit_(hardConeLimit),
       eliminate_(std::move(eliminate)) {
   res_.engine = std::move(engineName);
 
@@ -150,20 +147,18 @@ void BackwardReachSession::commitFrontier(Lit pre) {
   ++committedThisSlice_;
 }
 
-void BackwardReachSession::maybeCompact() {
-  if (!compaction_.enabled) return;
+void BackwardReachSession::compact() {
+  CBQ_OBS_SPAN("engine", "compact");
+  // Re-strash every live cone into a fresh manager. This drops the
+  // scratch nodes that cofactoring and sweeping leave behind AND
+  // re-applies the construction rewrite rules across the whole live set;
+  // on the generated suite that shrinks state-set cones enough that
+  // compacting after every committed frontier beats hoarding nodes. The
+  // transfer map lets the sweep session carry its proven/refuted pair
+  // cache across the NodeId change, so only the solver restarts; the
+  // fixpoint session just rebinds (it records no pair facts).
   std::vector<Lit> live{reached_, frontier_, badL_};
   live.insert(live.end(), nextL_.begin(), nextL_.end());
-  const std::size_t liveSize = mgr_.coneSize(live);
-  if (mgr_.numNodes() < compaction_.minNodes ||
-      static_cast<double>(mgr_.numNodes()) <=
-          compaction_.garbageRatio * static_cast<double>(liveSize))
-    return;
-  CBQ_OBS_SPAN("engine", "compact");
-  // Re-strash every live cone into a fresh manager. The transfer map
-  // lets the sweep session carry its proven/refuted pair cache across
-  // the NodeId change; the fixpoint session just rebinds (it records no
-  // pair facts).
   aig::Aig fresh;
   std::vector<std::pair<aig::NodeId, Lit>> xfer;
   auto mv = fresh.transferFrom(mgr_, live, xfer);
@@ -232,7 +227,7 @@ Progress BackwardReachSession::run(const portfolio::Budget& bud) {
         const Lit rr[] = {reached_};
         const std::size_t sz = mgr_.coneSize(rr);
         res_.stats.high("reach.max_reached_cone", static_cast<double>(sz));
-        if (sz > hardConeLimit_ || bud.nodesExceeded(sz))
+        if (sz > kHardConeLimit || bud.nodesExceeded(sz))
           return snapshot(Verdict::Unknown, true);
         ++iter_;
         phase_ = Phase::Pre;
@@ -271,7 +266,7 @@ Progress BackwardReachSession::run(const portfolio::Budget& bud) {
         if (mgr_.evaluate(frontier_, initDense_)) {
           phase_ = Phase::Trace;
         } else {
-          maybeCompact();
+          compact();
           phase_ = Phase::Guard;
         }
         break;

@@ -17,9 +17,9 @@
 // see sweep/sweep_context.hpp): the per-engine eliminator receives the
 // compare-point session via PreImageRequest and threads it into its
 // quantifier, and the fixpoint checks issue their implication queries to
-// a second session. Manager compaction is garbage-triggered
-// (CompactionPolicy) instead of unconditional, so the sessions survive
-// across iterations.
+// a second session. The working manager is compacted after every
+// committed frontier; the compare-point session carries its pair cache
+// across each compaction, so the sessions survive across iterations.
 
 #include <functional>
 #include <optional>
@@ -57,9 +57,7 @@ using InputEliminator =
 class BackwardReachSession final : public Session {
  public:
   BackwardReachSession(const Network& net, std::string engineName,
-                       const ReachLimits& limits,
-                       const CompactionPolicy& compaction,
-                       std::size_t hardConeLimit, InputEliminator eliminate);
+                       const ReachLimits& limits, InputEliminator eliminate);
 
   [[nodiscard]] std::string name() const override { return res_.engine; }
 
@@ -82,12 +80,10 @@ class BackwardReachSession final : public Session {
   Progress run(const portfolio::Budget& bud);
   Progress snapshot(Verdict v, bool done);
   void commitFrontier(aig::Lit pre);
-  void maybeCompact();
+  void compact();
 
   const Network* net_;
   ReachLimits limits_;
-  CompactionPolicy compaction_;
-  std::size_t hardConeLimit_;
   InputEliminator eliminate_;
 
   CheckResult res_;  ///< cumulative engine/steps/stats/cex record

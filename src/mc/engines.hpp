@@ -147,30 +147,15 @@ struct ReachLimits {
   double timeLimitSeconds = 60.0;
 };
 
-/// When and how the backward engines re-strash their working manager into
-/// a fresh one. Compaction drops the scratch nodes that cofactoring and
-/// sweeping leave behind AND re-applies the construction rewrite rules
-/// across the whole live set — measured on the generated suite it shrinks
-/// state-set cones enough that running it every iteration (ratio 0) beats
-/// hoarding nodes. It changes every NodeId, but the sweep session's
-/// proven/refuted pair cache is carried across through the transfer map
-/// (SweepContext::rebindRemapped), so compaction no longer costs the
-/// learned equivalence history — only the solver restarts.
-struct CompactionPolicy {
-  bool enabled = true;
-  /// Compact when manager nodes exceed ratio × live cone nodes ...
-  double garbageRatio = 0.0;
-  /// ... and the manager has at least this many nodes.
-  std::size_t minNodes = 0;
-};
+/// Reached-set cone size (AND nodes) beyond which the AIG-based
+/// reachability engines give up with Unknown.
+inline constexpr std::size_t kHardConeLimit = 2'000'000;
 
 // ----- the paper's engine ---------------------------------------------------
 
 struct CircuitQuantReachOptions {
   quant::QuantOptions quant{};
   ReachLimits limits{};
-  CompactionPolicy compaction{};  ///< garbage-triggered manager re-strash
-  std::size_t hardConeLimit = 2'000'000;  ///< give up (Unknown) beyond this
 };
 
 class CircuitQuantReach final : public Engine {
@@ -199,7 +184,6 @@ class CircuitQuantReach final : public Engine {
 struct CircuitQuantForwardOptions {
   quant::QuantOptions quant{};
   ReachLimits limits{};
-  std::size_t hardConeLimit = 2'000'000;
 };
 
 class CircuitQuantForwardReach final : public Engine {
@@ -267,7 +251,6 @@ class Bmc final : public Engine {
 
 struct InductionOptions {
   int maxK = 64;
-  bool uniquePath = true;  ///< simple-path (state-distinct) constraints
   double timeLimitSeconds = 60.0;
 };
 

@@ -174,7 +174,7 @@ class ForwardReachSession final : public Session {
           const std::size_t sz = m_.mgr.coneSize(rr);
           res_.stats.high("reach.max_reached_cone",
                           static_cast<double>(sz));
-          if (sz > opts_.hardConeLimit || bud.nodesExceeded(sz))
+          if (sz > kHardConeLimit || bud.nodesExceeded(sz))
             return snapshot(Verdict::Unknown, true);
           ++iter_;
           phase_ = Phase::Img;

@@ -149,8 +149,7 @@ std::unique_ptr<Session> CircuitQuantReach::start(const Network& net) const {
     return f;
   };
   return std::make_unique<detail::BackwardReachSession>(
-      net, name(), opts_.limits, opts_.compaction, opts_.hardConeLimit,
-      eliminate);
+      net, name(), opts_.limits, eliminate);
 }
 
 std::unique_ptr<Session> AllSatPreimageReach::start(const Network& net) const {
@@ -161,8 +160,7 @@ std::unique_ptr<Session> AllSatPreimageReach::start(const Network& net) const {
                            maxEnum, *req.stats, *req.budget, carry);
   };
   return std::make_unique<detail::BackwardReachSession>(
-      net, name(), opts_.limits, CompactionPolicy{},
-      /*hardConeLimit=*/2'000'000, eliminate);
+      net, name(), opts_.limits, eliminate);
 }
 
 std::unique_ptr<Session> HybridReach::start(const Network& net) const {
@@ -190,8 +188,7 @@ std::unique_ptr<Session> HybridReach::start(const Network& net) const {
                            *req.budget, carry);
   };
   return std::make_unique<detail::BackwardReachSession>(
-      net, name(), opts_.limits, CompactionPolicy{},
-      /*hardConeLimit=*/2'000'000, eliminate);
+      net, name(), opts_.limits, eliminate);
 }
 
 PreprocessResult preprocessQuantifyInputs(const Network& net,

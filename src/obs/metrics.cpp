@@ -3,6 +3,8 @@
 #include <bit>
 #include <cmath>
 
+#include "obs/json.hpp"
+
 namespace cbq::obs {
 
 namespace {
@@ -17,27 +19,6 @@ std::size_t bucketIndex(double seconds) {
   const std::size_t w = static_cast<std::size_t>(std::bit_width(n));
   return w < Metrics::Histogram::kBuckets ? w
                                           : Metrics::Histogram::kBuckets - 1;
-}
-
-/// JSON has no NaN/Inf; clamp to finite output.
-double finite(double v) { return std::isfinite(v) ? v : 0.0; }
-
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -181,7 +162,7 @@ void Metrics::writeJson(std::ostream& out) const {
   first = true;
   for (const auto& [k, v] : gauges) {
     out << (first ? "" : ", ") << '"' << jsonEscape(k)
-        << "\": " << finite(v);
+        << "\": " << jsonFinite(v);
     first = false;
   }
   out << "}, \"histograms\": {";
@@ -189,8 +170,8 @@ void Metrics::writeJson(std::ostream& out) const {
   for (const auto& [k, v] : histograms) {
     out << (first ? "" : ", ") << '"' << jsonEscape(k)
         << "\": {\"count\": " << v.count
-        << ", \"sum_seconds\": " << finite(v.sum)
-        << ", \"max_seconds\": " << finite(v.max) << ", \"buckets\": [";
+        << ", \"sum_seconds\": " << jsonFinite(v.sum)
+        << ", \"max_seconds\": " << jsonFinite(v.max) << ", \"buckets\": [";
     bool firstB = true;
     for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
       if (v.buckets[i] == 0) continue;

@@ -1,37 +1,21 @@
 #include "obs/progress.hpp"
 
-#include <cmath>
 #include <ostream>
 #include <sstream>
+
+#include "obs/json.hpp"
 
 namespace cbq::obs {
 
 namespace {
 
-void appendEscaped(std::ostream& out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out << buf;
-    } else {
-      out << c;
-    }
-  }
-}
-
 void field(std::ostream& out, const char* key, const std::string& value,
            bool& first) {
   if (value.empty()) return;
-  out << (first ? "" : ", ") << '"' << key << "\": \"";
-  appendEscaped(out, value);
-  out << '"';
+  out << (first ? "" : ", ") << '"' << key << "\": \"" << jsonEscape(value)
+      << '"';
   first = false;
 }
-
-double finite(double v) { return std::isfinite(v) ? v : 0.0; }
 
 }  // namespace
 
@@ -49,15 +33,15 @@ void ProgressStreamer::emit(const ProgressEvent& ev) {
     first = false;
   }
   if (ev.effort > 0.0) {
-    line << (first ? "" : ", ") << "\"effort\": " << finite(ev.effort);
+    line << (first ? "" : ", ") << "\"effort\": " << jsonFinite(ev.effort);
     first = false;
   }
   if (ev.effortDelta > 0.0) {
     line << (first ? "" : ", ")
-         << "\"effort_delta\": " << finite(ev.effortDelta);
+         << "\"effort_delta\": " << jsonFinite(ev.effortDelta);
     first = false;
   }
-  line << (first ? "" : ", ") << "\"seconds\": " << finite(ev.seconds);
+  line << (first ? "" : ", ") << "\"seconds\": " << jsonFinite(ev.seconds);
   first = false;
   if (ev.kind == "slice")
     line << ", \"advanced\": " << (ev.advanced ? "true" : "false");

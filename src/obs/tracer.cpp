@@ -1,12 +1,12 @@
 #include "obs/tracer.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
 
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "util/sync.hpp"
 
@@ -85,24 +85,6 @@ void appendEvent(ThreadBuffer& buf, const SpanEvent& ev) {
   buf.next = (buf.next + 1) % buf.capacity;
   buf.wrapped = true;
   ++buf.dropped;
-}
-
-std::string jsonEscape(const char* s) {
-  std::string out;
-  for (const char* p = s; *p; ++p) {
-    const char c = *p;
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char hex[8];
-      std::snprintf(hex, sizeof(hex), "\\u%04x", c);
-      out += hex;
-    } else {
-      out += c;
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -217,7 +199,7 @@ void writeChromeTrace(std::ostream& out) {
       out << (first ? "" : ",\n")
           << "{\"ph\": \"M\", \"pid\": 1, \"tid\": " << s.tid
           << ", \"name\": \"thread_name\", \"args\": {\"name\": \""
-          << jsonEscape(s.label.c_str()) << "\"}}";
+          << jsonEscape(s.label) << "\"}}";
       first = false;
     }
     for (const auto& ev : s.events) {

@@ -1,58 +1,19 @@
 #include "portfolio/report.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <ctime>
 #include <ostream>
-#include <sstream>
 #include <thread>
 
+#include "obs/json.hpp"
 #include "obs/version.hpp"
 
 namespace cbq::portfolio {
 
 namespace {
 
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// JSON has no NaN/Inf; clamp to null-free finite output.
-std::string jsonNumber(double v) {
-  if (!std::isfinite(v)) return "0";
-  std::ostringstream os;
-  os << v;
-  return os.str();
-}
+using obs::jsonEscape;
+using obs::jsonFinite;
 
 /// CSV fields are quoted only when they contain a comma, quote or newline.
 std::string csvField(const std::string& s) {
@@ -118,7 +79,7 @@ void writeJson(const BatchSummary& summary, std::ostream& out,
   out << "  \"unsafe\": " << summary.unsafe << ",\n";
   out << "  \"unknown\": " << summary.unknown << ",\n";
   out << "  \"errors\": " << summary.errors << ",\n";
-  out << "  \"wall_seconds\": " << jsonNumber(summary.wallSeconds) << ",\n";
+  out << "  \"wall_seconds\": " << jsonFinite(summary.wallSeconds) << ",\n";
   out << "  \"problems\": [";
   for (std::size_t i = 0; i < summary.problems.size(); ++i) {
     const BatchProblemResult& p = summary.problems[i];
@@ -128,14 +89,14 @@ void writeJson(const BatchSummary& summary, std::ostream& out,
     out << "\"verdict\": \"" << mc::toString(p.verdict) << "\", ";
     out << "\"winner\": \"" << jsonEscape(p.winnerEngine) << "\", ";
     out << "\"steps\": " << p.steps << ", ";
-    out << "\"seconds\": " << jsonNumber(p.seconds) << ", ";
+    out << "\"seconds\": " << jsonFinite(p.seconds) << ", ";
     out << "\"latches\": " << p.latches << ", ";
     out << "\"inputs\": " << p.inputs << ", ";
     out << "\"ands\": " << p.ands << ", ";
     out << "\"error\": \"" << jsonEscape(p.error) << "\", ";
     out << "\"prep\": {\"enabled\": " << (p.prep.enabled ? "true" : "false")
         << ", \"decided\": " << (p.prep.decided ? "true" : "false")
-        << ", \"seconds\": " << jsonNumber(p.prep.seconds)
+        << ", \"seconds\": " << jsonFinite(p.prep.seconds)
         << ", \"latches_before\": " << p.prep.latchesBefore
         << ", \"latches_after\": " << p.prep.latchesAfter
         << ", \"inputs_before\": " << p.prep.inputsBefore
@@ -149,7 +110,7 @@ void writeJson(const BatchSummary& summary, std::ostream& out,
           << "\"latches\": [" << ps.latchesBefore << ", " << ps.latchesAfter
           << "], \"inputs\": [" << ps.inputsBefore << ", " << ps.inputsAfter
           << "], \"ands\": [" << ps.andsBefore << ", " << ps.andsAfter
-          << "], \"seconds\": " << jsonNumber(ps.seconds) << "}";
+          << "], \"seconds\": " << jsonFinite(ps.seconds) << "}";
     }
     out << "]}, ";
     out << "\"mem\": {\"peak_rss_mb\": " << rssMb(p.peakRssBytes)
@@ -167,7 +128,7 @@ void writeJson(const BatchSummary& summary, std::ostream& out,
       out << "{\"engine\": \"" << jsonEscape(r.engine) << "\", "
           << "\"verdict\": \"" << mc::toString(r.verdict) << "\", "
           << "\"steps\": " << r.steps << ", "
-          << "\"seconds\": " << jsonNumber(r.seconds) << ", "
+          << "\"seconds\": " << jsonFinite(r.seconds) << ", "
           << "\"winner\": " << (r.winner ? "true" : "false") << ", "
           << "\"cancelled\": " << (r.cancelled ? "true" : "false") << ", "
           << "\"failed\": " << (r.failed ? "true" : "false") << ", "
@@ -220,12 +181,12 @@ void writeCsv(const BatchSummary& summary, std::ostream& out) {
     }
     out << csvField(p.name) << ',' << csvField(p.path) << ','
         << mc::toString(p.verdict) << ',' << csvField(p.winnerEngine) << ','
-        << p.steps << ',' << jsonNumber(p.seconds) << ',' << p.latches << ','
+        << p.steps << ',' << jsonFinite(p.seconds) << ',' << p.latches << ','
         << p.inputs << ',' << p.ands << ','
-        << jsonNumber(p.prep.seconds) << ',' << p.prep.latchesAfter << ','
+        << jsonFinite(p.prep.seconds) << ',' << p.prep.latchesAfter << ','
         << p.prep.inputsAfter << ',' << p.prep.andsAfter << ','
-        << jsonNumber(coiSec) << ',' << jsonNumber(constSec) << ','
-        << jsonNumber(sweepSec) << ',' << jsonNumber(corrSec) << ','
+        << jsonFinite(coiSec) << ',' << jsonFinite(constSec) << ','
+        << jsonFinite(sweepSec) << ',' << jsonFinite(corrSec) << ','
         << props << ',' << decs << ',' << confs << ','
         << rssMb(p.peakRssBytes) << ',' << p.aigPeakNodes << ','
         << p.bddPeakNodes << ',' << p.engineFailures << ',' << p.retries

@@ -93,8 +93,7 @@ PortfolioResult PortfolioRunner::run(const mc::Network& net) const {
     out.best.cex = std::move(prepared.decidedCex);
     out.best.stats = std::move(prepared.stats);
     // A decided Unsafe must come with a replayable trace.
-    if (opts_.verifyCex)
-      prep::demoteUnreplayableCex(net, out.best, /*requireTrace=*/true);
+    prep::demoteUnreplayableCex(net, out.best, /*requireTrace=*/true);
     out.wallSeconds = wall.seconds();
     out.best.seconds = out.wallSeconds;
     emitResult(net.name, out);
@@ -120,7 +119,7 @@ PortfolioResult PortfolioRunner::run(const mc::Network& net) const {
   // manager's scratch arenas.
   if (out.best.verdict == mc::Verdict::Unsafe && out.best.cex.has_value()) {
     out.best.cex = prepared.lifter().lift(std::move(*out.best.cex));
-    if (opts_.verifyCex) prep::demoteUnreplayableCex(net, out.best);
+    prep::demoteUnreplayableCex(net, out.best);
   }
 
   out.wallSeconds = wall.seconds();
@@ -234,9 +233,8 @@ PortfolioResult PortfolioRunner::runRace(const mc::Network& net,
     }
 
     bool definitive = res.verdict != mc::Verdict::Unknown;
-    if (definitive && opts.verifyCex &&
-        res.verdict == mc::Verdict::Unsafe && res.cex.has_value() &&
-        !mc::replayHitsBad(clones[i], *res.cex)) {
+    if (definitive && res.verdict == mc::Verdict::Unsafe &&
+        res.cex.has_value() && !mc::replayHitsBad(clones[i], *res.cex)) {
       // The independent referee rejected the trace: never report it.
       res.verdict = mc::Verdict::Unknown;
       res.stats.add("portfolio.cex_replay_failures");

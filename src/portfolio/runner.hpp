@@ -37,10 +37,6 @@ struct PortfolioOptions {
   /// the cooperative budget path instead of riding into the OOM killer
   /// (Budget::withRssLimit has the precise semantics).
   std::size_t rssLimitBytes = 0;
-  /// Replay an Unsafe winner's counterexample before accepting it; a
-  /// failing replay demotes the verdict to Unknown (the engine keeps
-  /// racing rivals instead of poisoning the result).
-  bool verifyCex = true;
 
   /// Preprocessing pipeline (prep/pipeline.hpp), run ONCE per problem
   /// before any engine starts; every worker clones the reduced network.
@@ -55,9 +51,6 @@ struct PortfolioOptions {
   ScheduleMode schedule = ScheduleMode::Race;
   // --- Slice mode only ---------------------------------------------------
   int sliceWorkers = 1;  ///< worker threads resuming sessions (<=0: one)
-  double sliceInitialSeconds = 0.05;  ///< first slice per session
-  double sliceMinSeconds = 0.0125;    ///< demotion floor
-  double sliceMaxSeconds = 0.8;       ///< promotion cap
 };
 
 /// One engine's contribution to a portfolio run.

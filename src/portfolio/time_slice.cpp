@@ -14,6 +14,13 @@ namespace cbq::portfolio {
 
 namespace {
 
+// Adaptive slice lengths: every session starts at the initial slice, is
+// promoted (doubled) up to the cap when a slice commits no bound, and
+// demoted (halved) down to the floor when it commits many.
+constexpr double kSliceInitialSeconds = 0.05;
+constexpr double kSliceMinSeconds = 0.0125;
+constexpr double kSliceMaxSeconds = 0.8;
+
 /// One engine's scheduling state. The session migrates between worker
 /// threads across slices; the scheduler mutex hands it off.
 struct Slot {
@@ -37,10 +44,6 @@ TimeSliceScheduler::TimeSliceScheduler(PortfolioOptions opts)
       throw std::invalid_argument("unknown engine: " + name);
   }
   if (opts_.sliceWorkers <= 0) opts_.sliceWorkers = 1;
-  if (opts_.sliceInitialSeconds <= 0.0) opts_.sliceInitialSeconds = 0.05;
-  if (opts_.sliceMinSeconds <= 0.0) opts_.sliceMinSeconds = 0.0125;
-  opts_.sliceMaxSeconds =
-      std::max(opts_.sliceMaxSeconds, opts_.sliceInitialSeconds);
 }
 
 PortfolioResult TimeSliceScheduler::run(const mc::Network& net) const {
@@ -99,7 +102,7 @@ PortfolioResult TimeSliceScheduler::run(const mc::Network& net) const {
     const util::MutexLock lock(st.mu);
     for (std::size_t i = 0; i < n; ++i) {
       slots[i].engine = mc::makeEngine(opts_.engines[i]);
-      slots[i].sliceSeconds = opts_.sliceInitialSeconds;
+      slots[i].sliceSeconds = kSliceInitialSeconds;
       st.ready.push_back(i);
     }
   }
@@ -167,8 +170,7 @@ PortfolioResult TimeSliceScheduler::run(const mc::Network& net) const {
       // Referee outside the lock: a deep counterexample replay must not
       // stall the other workers. The slot's clone is still private here.
       bool replayRejected = false;
-      if (!threw && p.done && opts_.verifyCex &&
-          p.result.verdict == mc::Verdict::Unsafe &&
+      if (!threw && p.done && p.result.verdict == mc::Verdict::Unsafe &&
           p.result.cex.has_value())
         replayRejected = !mc::replayHitsBad(clones[i], *p.result.cex);
 
@@ -209,12 +211,12 @@ PortfolioResult TimeSliceScheduler::run(const mc::Network& net) const {
           // pause point — promote; many bounds per slice means the
           // engine can be interleaved at finer grain — demote.
           if (!slot.last.advanced) {
-            slot.sliceSeconds = std::min(slot.sliceSeconds * 2.0,
-                                         opts_.sliceMaxSeconds);
+            slot.sliceSeconds =
+                std::min(slot.sliceSeconds * 2.0, kSliceMaxSeconds);
             schedStats.add("sched.promotions");
           } else if (boundDelta >= 8) {
-            slot.sliceSeconds = std::max(slot.sliceSeconds * 0.5,
-                                         opts_.sliceMinSeconds);
+            slot.sliceSeconds =
+                std::max(slot.sliceSeconds * 0.5, kSliceMinSeconds);
             schedStats.add("sched.demotions");
           }
           if (!st.stop && !outer.exhausted()) st.ready.push_back(i);

@@ -23,8 +23,8 @@ namespace cbq::portfolio {
 
 class TimeSliceScheduler {
  public:
-  /// Uses the engine set, budgets, referee flag and slice_* fields of
-  /// `opts` (the schedule field itself is ignored — callers that want
+  /// Uses the engine set, budgets and sliceWorkers of `opts` (the
+  /// schedule field itself is ignored — callers that want
   /// dispatch go through PortfolioRunner). Throws std::invalid_argument
   /// when an engine name is unknown.
   explicit TimeSliceScheduler(PortfolioOptions opts = {});

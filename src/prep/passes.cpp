@@ -16,6 +16,13 @@ using aig::Lit;
 using aig::VarId;
 using mc::Network;
 
+// Pass budgets: preprocessing must stay cheap relative to the engines.
+constexpr std::int64_t kSweepSatBudget = 200;       // conflicts per query
+constexpr std::size_t kStructuralMaxAnds = 100000;  // skip sweep above
+constexpr double kStructuralMinShrink = 0.05;       // min AND shrink kept
+constexpr std::size_t kLatchCorrMaxAnds = 100000;   // skip latchcorr above
+constexpr std::size_t kLatchCorrGrowth = 8;         // manager growth cap
+
 /// Assembles a reduced network: `kept[i]` selects the surviving latches,
 /// `next`/`bad` are the (possibly rewritten) cones in `src`'s manager. The
 /// cones are transferred into a fresh manager, which drops dead nodes and
@@ -173,18 +180,17 @@ PassResult constLatchSweep(const Network& net, obs::Metrics* stats) {
   return out;
 }
 
-PassResult structuralSimplify(const Network& net, std::int64_t satBudget,
-                              std::size_t maxAnds, double minShrink,
+PassResult structuralSimplify(const Network& net,
                               std::function<bool()> interrupt,
                               obs::Metrics* stats) {
-  if (maxAnds != 0 && net.aig.numAnds() > maxAnds) return {};
+  if (net.aig.numAnds() > kStructuralMaxAnds) return {};
 
   Network cur = mc::cloneNetwork(net);
   std::vector<Lit> roots(cur.next.begin(), cur.next.end());
   roots.push_back(cur.bad);
 
   sweep::SweepOptions so;
-  so.satBudget = satBudget;
+  so.satBudget = kSweepSatBudget;
   so.interrupt = std::move(interrupt);
   const auto sw = sweep::sweep(cur.aig, roots, so);
 
@@ -195,7 +201,7 @@ PassResult structuralSimplify(const Network& net, std::int64_t satBudget,
   out.changed =
       out.net.aig.numAnds() < net.aig.numAnds() &&
       static_cast<double>(out.net.aig.numAnds()) <=
-      static_cast<double>(net.aig.numAnds()) * (1.0 - minShrink);
+      static_cast<double>(net.aig.numAnds()) * (1.0 - kStructuralMinShrink);
   if (!out.changed) return {};
 
   if (stats) {
@@ -211,8 +217,7 @@ PassResult structuralSimplify(const Network& net, std::int64_t satBudget,
   return out;
 }
 
-PassResult latchCorrespondence(const Network& net, std::size_t maxAnds,
-                               std::size_t growthLimit,
+PassResult latchCorrespondence(const Network& net,
                                std::function<bool()> interrupt,
                                obs::Metrics* stats) {
   const std::size_t numL = net.numLatches();
@@ -221,7 +226,7 @@ PassResult latchCorrespondence(const Network& net, std::size_t maxAnds,
   // cones — not the whole manager: a giant bad cone (the million-gate
   // bench family) must not disable the pass that collapses it.
   std::vector<Lit> nextRoots(net.next.begin(), net.next.end());
-  if (maxAnds != 0 && net.aig.coneSize(nextRoots) > maxAnds) return {};
+  if (net.aig.coneSize(nextRoots) > kLatchCorrMaxAnds) return {};
 
   // Greatest-fixpoint refinement: optimistic classes by reset value, then
   // split while members' next-state functions (with every latch replaced
@@ -309,15 +314,14 @@ PassResult latchCorrespondence(const Network& net, std::size_t maxAnds,
   }
 
   Network cur = mc::cloneNetwork(net);  // compose mutates the manager
-  const std::size_t nodeCap =
-      growthLimit == 0 ? 0 : cur.aig.numNodes() * growthLimit;
+  const std::size_t nodeCap = cur.aig.numNodes() * kLatchCorrGrowth;
 
   for (;;) {
     // The refinement is an optimization; abandoning it mid-way (budget
     // fired, or compose rounds bloated the working manager past the cap)
     // is sound — the pass just reports no change.
     if (interrupt && interrupt()) return {};
-    if (nodeCap != 0 && cur.aig.numNodes() > nodeCap) return {};
+    if (cur.aig.numNodes() > nodeCap) return {};
     // Representative = lowest latch index in the class.
     std::vector<std::size_t> repOf(numClasses, numL);
     for (std::size_t i = 0; i < numL; ++i)

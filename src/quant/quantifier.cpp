@@ -15,7 +15,7 @@ using aig::NodeId;
 using aig::VarId;
 
 std::optional<Lit> Quantifier::quantifyVar(Lit f, VarId v) {
-  return quantifyVarImpl(f, v, opts_.allowAborts);
+  return quantifyVarImpl(f, v, /*enforceGrowth=*/true);
 }
 
 Lit Quantifier::quantifyVarForced(Lit f, VarId v) {
@@ -170,20 +170,14 @@ std::optional<Lit> Quantifier::quantifyVarImpl(Lit f, VarId v,
   }
 
   // ----- optimization phase (§2.2), adaptively scheduled -------------------
-  auto buildResult = [&](Lit a, Lit b) {
-    Lit r = aig_->mkOr(a, b);
-    if (opts_.rewriteResult) {
-      const Lit roots[] = {r};
-      r = synth::rewrite(*aig_, roots).front();
-    }
-    return r;
-  };
-
+  // Every dcSimplify call reports its shrink ratio to the run's
+  // SweepContext; once the running average shows the phase is not
+  // reducing cones (multiplier-style workloads, where each proof is
+  // expensive and buys nothing), it is skipped except for periodic
+  // re-probes. Without a session the phase always runs.
   bool needOpt = opts_.optPhase && !f0.isConstant() && !f1.isConstant();
-  if (needOpt && opts_.optPhaseAdaptive && opts_.context != nullptr &&
+  if (needOpt && opts_.context != nullptr &&
       !opts_.context->shouldAttemptDc()) {
-    // The run's feedback says DC proofs have not been shrinking cones on
-    // this workload — skip the phase (periodic re-probes keep it honest).
     needOpt = false;
     stats_.add("opt.skipped_feedback");
   }
@@ -216,11 +210,9 @@ std::optional<Lit> Quantifier::quantifyVarImpl(Lit f, VarId v,
                  static_cast<std::int64_t>(r->stats.satUnknown));
     }
   }
-  Lit result = buildResult(f0, f1);
-  if (opts_.finalSweep && !result.isConstant()) {
-    const Lit roots[] = {result};
-    result = sweep::sweep(*aig_, roots, opts_.sweepOpts).roots.front();
-  }
+  // Structural cleanup of the disjunction through the rewrite rules.
+  const Lit disjunction[] = {aig_->mkOr(f0, f1)};
+  const Lit result = synth::rewrite(*aig_, disjunction).front();
 
   const std::size_t after = aig_->coneSize(result);
   stats_.add("quant.cone_after_total", static_cast<std::int64_t>(after));

@@ -38,21 +38,8 @@ struct QuantOptions {
   bool useSubstitution = true;   ///< §3 in-lining fast path (see below)
   bool mergePhase = true;        ///< enable §2.1 (sweeping of the cofactors)
   bool optPhase = true;          ///< enable §2.2 (DC-based simplification)
-
-  /// Adaptive §2.2 scheduling, driven by measured benefit: every
-  /// dcSimplify call reports its shrink ratio to the run's SweepContext;
-  /// once the running average shows the DC phase is not reducing cones
-  /// (multiplier-style workloads, where each proof is expensive and buys
-  /// nothing), the phase is skipped except for periodic re-probes. On
-  /// blow-up-prone families (counters, queues) the ratio stays low and
-  /// the full machinery runs every time. Requires `context`; without a
-  /// session the phase always runs (the pre-session behaviour).
-  bool optPhaseAdaptive = true;
-  bool rewriteResult = true;     ///< structural cleanup of the disjunction
-  bool finalSweep = false;       ///< extra sweep of F0 ∨ F1 (category-2 opt)
   sweep::SweepOptions sweepOpts{};
   synth::DcOptions dcOpts{};
-  bool allowAborts = true;       ///< §4 partial quantification
   double growthLimit = 2.0;      ///< abort var when result cone exceeds
   std::size_t growthSlack = 32;  ///<   growthLimit * before + growthSlack
   int abortRetries = 1;          ///< re-attempts of aborted vars at the end

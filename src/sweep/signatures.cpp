@@ -14,12 +14,12 @@ std::uint64_t negMask(bool b) { return b ? ~std::uint64_t{0} : 0; }
 
 Signatures::Signatures(const aig::Aig& aig, std::span<const NodeId> order,
                        std::span<const VarId> support, util::Random& rng,
-                       int initialWords, int maxWords)
+                       int initialWords, int capacityWords)
     : aig_(&aig),
       order_(order.begin(), order.end()),
       support_(support.begin(), support.end()),
       stride_(static_cast<std::size_t>(
-          maxWords > initialWords ? maxWords : initialWords)),
+          capacityWords > initialWords ? capacityWords : initialWords)),
       words_(static_cast<std::size_t>(initialWords > 0 ? initialWords : 1)) {
   if (stride_ < words_) stride_ = words_;
 

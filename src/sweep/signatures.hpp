@@ -52,10 +52,10 @@ class Signatures {
   /// `order` is the cone's AND nodes in topological order (fanins first),
   /// `support` the sorted external variables of its PIs. `initialWords`
   /// random columns are generated immediately; the arena reserves room for
-  /// `maxWords` columns so refinement appends never reallocate.
+  /// `capacityWords` columns so refinement appends never reallocate.
   Signatures(const aig::Aig& aig, std::span<const aig::NodeId> order,
              std::span<const aig::VarId> support, util::Random& rng,
-             int initialWords, int maxWords);
+             int initialWords, int capacityWords);
 
   [[nodiscard]] std::size_t words() const { return words_; }
   [[nodiscard]] std::size_t stride() const { return stride_; }
@@ -65,7 +65,7 @@ class Signatures {
   /// remaining bits random noise — and simulates ONLY the new column.
   /// Returns false (and changes nothing, not even the RNG stream) when the
   /// arena is full (words() == stride()), so refinement loops can tell a
-  /// real append from a no-op and surface an arena-full stat.
+  /// real append from a no-op.
   [[nodiscard]] bool appendWord(std::span<const std::uint64_t> cexBits,
                                 int cexCount, util::Random& rng);
 

@@ -19,6 +19,9 @@ using aig::Lit;
 using aig::NodeId;
 using aig::VarId;
 
+constexpr int kMaxRounds = 16;               // refinement round limit
+constexpr std::size_t kBddNodeLimit = 2000;  // shared BDD manager limit
+
 /// Nodes reachable from `roots` when merges in `mergeMap` are applied —
 /// backward mode skips compare points that merging has already detached.
 /// Returned as a node-indexed flag vector.
@@ -58,12 +61,12 @@ SweepResult sweep(aig::Aig& aig, std::span<const Lit> roots,
   }
   const auto support = aig.supportVars(roots);
 
+  // Room for one counterexample column per refinement round, so the
+  // arena never refuses an append.
   util::Random rng(opts.seed);
   const int initialWords = std::max(opts.numWords, 1);
-  const int maxWords = opts.maxWords > 0
-                           ? opts.maxWords
-                           : initialWords + std::max(opts.maxRounds, 0);
-  Signatures sigs(aig, order, support, rng, initialWords, maxWords);
+  Signatures sigs(aig, order, support, rng, initialWords,
+                  initialWords + kMaxRounds);
 
   // Candidate pool: PIs first (they can only be representatives), then AND
   // nodes in topological order, so every merge points at a topologically
@@ -85,8 +88,8 @@ SweepResult sweep(aig::Aig& aig, std::span<const Lit> roots,
   ctx->bind(aig);
 
   // ----- layer 2: BDD sweeping -------------------------------------------
-  if (opts.useBdd && opts.bddNodeLimit > 0) {
-    bdd::BddManager bm(opts.bddNodeLimit);
+  if (opts.useBdd) {
+    bdd::BddManager bm(kBddNodeLimit);
     std::vector<bdd::BddRef> nodeBdd(aig.numNodes(), bdd::kFalseBdd);
     std::vector<bool> hasBdd(aig.numNodes(), false);
     nodeBdd[0] = bdd::kFalseBdd;
@@ -161,11 +164,6 @@ SweepResult sweep(aig::Aig& aig, std::span<const Lit> roots,
   // run's history.
   if (opts.useSat) ctx->focusOn(roots);
 
-  auto learn = [&](Lit a, Lit b) {
-    if (!opts.learnEquivalences) return;
-    ctx->learnEquiv(a, b);
-  };
-
   struct EquivClass {
     Lit rep;                      // representative literal (phase-adjusted)
     std::vector<NodeId> members;  // candidate nodes, pool order
@@ -185,7 +183,7 @@ SweepResult sweep(aig::Aig& aig, std::span<const Lit> roots,
 
   bool interrupted = false;
   for (int round = 0;
-       opts.useSat && !interrupted && round < opts.maxRounds; ++round) {
+       opts.useSat && !interrupted && round < kMaxRounds; ++round) {
     CBQ_OBS_SPAN("sweep", "refine-round");
     ++out.stats.rounds;
 
@@ -334,11 +332,10 @@ SweepResult sweep(aig::Aig& aig, std::span<const Lit> roots,
             ctx->recordProven(Lit(m, false), target);
             if (cls.constant) {
               ++out.stats.constMerges;
-              if (opts.learnEquivalences)
-                ctx->learnConstant(Lit(m, false), cls.constValue);
+              ctx->learnConstant(Lit(m, false), cls.constValue);
             } else {
               ++out.stats.satMerges;
-              learn(Lit(m, false), target);
+              ctx->learnEquiv(Lit(m, false), target);
             }
             break;
           }
@@ -361,11 +358,10 @@ SweepResult sweep(aig::Aig& aig, std::span<const Lit> roots,
       }
     }
 
-    if (interrupted || cexCount == 0) break;  // stable or stopped early
-    // A full arena refuses the append: the distinguishing patterns are
-    // lost, but the round loop stays sound — refuted pairs are skipped
-    // via the session cache, so later rounds still make proof progress.
-    if (!sigs.appendWord(cexBits, cexCount, rng)) ++out.stats.arenaFull;
+    // Stable, stopped early, or out of rounds (whose column would never
+    // be read).
+    if (interrupted || cexCount == 0 || round + 1 == kMaxRounds) break;
+    if (!sigs.appendWord(cexBits, cexCount, rng)) break;  // never: see above
   }
 
   out.roots = aig.rebuildWithNodeMap(roots, mergeMap);

@@ -41,16 +41,10 @@ class SweepContext;
 
 struct SweepOptions {
   int numWords = 2;               ///< initial random simulation words/node
-  int maxRounds = 16;             ///< refinement round limit
-  int maxWords = 0;               ///< arena column cap (0 = auto:
-                                  ///  numWords + maxRounds, so cex appends
-                                  ///  never hit the cap)
   std::int64_t satBudget = 2000;  ///< conflicts per SAT equivalence query
-  std::size_t bddNodeLimit = 2000;///< shared BDD manager limit (0 = off)
   bool useBdd = true;             ///< enable layer 2
   bool useSat = true;             ///< enable layer 3
   bool backward = false;          ///< outputs-first compare-point order
-  bool learnEquivalences = true;  ///< assert proven merges as clauses
   std::uint64_t seed = 0x5eed;    ///< simulation seed
 
   /// Cooperative stop, polled once per SAT compare-point check. Sweeping
@@ -79,7 +73,6 @@ struct SweepStats {
   std::size_t skippedUnreferenced = 0;  ///< backward-mode pruned checks
   std::size_t cacheHitsProven = 0;   ///< merges taken from the pair cache
   std::size_t cacheHitsRefuted = 0;  ///< SAT checks skipped as known-refuted
-  std::size_t arenaFull = 0;  ///< cex appends refused: arena at maxWords
 };
 
 struct SweepResult {

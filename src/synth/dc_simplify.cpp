@@ -1,6 +1,5 @@
 #include "synth/dc_simplify.hpp"
 
-#include <algorithm>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -21,6 +20,12 @@ std::uint64_t negMask(bool b) { return b ? ~std::uint64_t{0} : 0; }
 
 using sweep::mix64;
 
+constexpr int kDcWords = 2;                  // random simulation words
+constexpr int kDcRounds = 8;                 // input-DC cex-refinement rounds
+constexpr std::int64_t kDcSatBudget = 2000;  // conflicts per SAT query
+constexpr int kOdcAttempts = 48;             // globally-verified ODC trials
+constexpr std::uint64_t kDcSeed = 0xdc;      // simulation seed
+
 /// Simulation of the joint cone of fRef and fTgt with per-word care masks
 /// (care = ¬fRef: inputs where the reference cofactor is 0). Built on the
 /// flat signature arena: appends simulate only the new column, and
@@ -28,13 +33,14 @@ using sweep::mix64;
 /// as the collision referee (no per-node string keys).
 class CareSim {
  public:
-  CareSim(const aig::Aig& aig, Lit fRef, Lit fTgt, util::Random& rng,
-          int words, int maxWords)
+  /// Room for kDcRounds appended columns: phase A appends at most one
+  /// per round, so its appends are never refused.
+  CareSim(const aig::Aig& aig, Lit fRef, Lit fTgt, util::Random& rng)
       : aig_(&aig), fRef_(fRef), fTgt_(fTgt) {
     const Lit both[] = {fRef, fTgt};
     order_ = aig.coneAnds(both);
     support_ = aig.supportVars(both);
-    sigs_.emplace(aig, order_, support_, rng, words, maxWords);
+    sigs_.emplace(aig, order_, support_, rng, kDcWords, kDcWords + kDcRounds);
     recomputeCare(0);
   }
 
@@ -44,8 +50,7 @@ class CareSim {
   void appendWord(std::span<const std::uint64_t> cexBits, int cexCount,
                   util::Random& rng) {
     const std::size_t before = sigs_->words();
-    sigs_->appendWord(cexBits, cexCount, rng);
-    if (sigs_->words() > before) recomputeCare(before);
+    if (sigs_->appendWord(cexBits, cexCount, rng)) recomputeCare(before);
   }
 
   /// 64-bit mixed hash of the literal's care-masked value.
@@ -123,9 +128,8 @@ DcResult dcSimplify(aig::Aig& aig, Lit fRef, Lit fTgt, const DcOptions& opts) {
     return out;
   }
 
-  util::Random rng(opts.seed);
-  CareSim sim(aig, fRef, fTgt, rng, std::max(opts.numWords, 1),
-              std::max(opts.numWords, 1) + std::max(opts.maxRounds, 0));
+  util::Random rng(kDcSeed);
+  CareSim sim(aig, fRef, fTgt, rng);
 
   // Share the run's persistent solver when a session is provided
   // (every query below is assumption-only); otherwise a private one.
@@ -149,7 +153,7 @@ DcResult dcSimplify(aig::Aig& aig, Lit fRef, Lit fTgt, const DcOptions& opts) {
   std::vector<std::uint8_t> disqualified(aig.numNodes(), 0);
 
   bool interrupted = false;
-  for (int round = 0; !interrupted && round < opts.maxRounds; ++round) {
+  for (int round = 0; !interrupted && round < kDcRounds; ++round) {
     const auto targetOrder = sim.targetOrder();
     // Care-masked representative chains: hash -> positive literals whose
     // masked values share that hash (exact masked compare disambiguates).
@@ -201,7 +205,7 @@ DcResult dcSimplify(aig::Aig& aig, Lit fRef, Lit fTgt, const DcOptions& opts) {
 
       ++out.stats.satChecks;
       const sat::Verdict verdict =
-          ctx->checkEquivUnderCare(notRef, ln, candidate, opts.satBudget);
+          ctx->checkEquivUnderCare(notRef, ln, candidate, kDcSatBudget);
       switch (verdict) {
         case sat::Verdict::Holds: {
           careMap.set(n, candidate);
@@ -231,7 +235,9 @@ DcResult dcSimplify(aig::Aig& aig, Lit fRef, Lit fTgt, const DcOptions& opts) {
       }
     }
 
-    if (cexCount == 0) break;
+    // The last round's column would never be read: phase B does not
+    // simulate.
+    if (cexCount == 0 || round + 1 == kDcRounds) break;
     sim.appendWord(cexBits, cexCount, rng);
   }
 
@@ -250,7 +256,7 @@ DcResult dcSimplify(aig::Aig& aig, Lit fRef, Lit fTgt, const DcOptions& opts) {
   if (attemptOdc) {
     int attempts = 0;
     bool changed = true;
-    while (changed && attempts < opts.odcAttempts &&
+    while (changed && attempts < kOdcAttempts &&
            !(opts.interrupt && opts.interrupt())) {
       changed = false;
       Lit current = out.target;
@@ -258,9 +264,9 @@ DcResult dcSimplify(aig::Aig& aig, Lit fRef, Lit fTgt, const DcOptions& opts) {
       const auto order = aig.coneAnds(curRoots);
       const std::size_t curSize = order.size();
       for (const NodeId n : order) {
-        if (attempts >= opts.odcAttempts) break;
+        if (attempts >= kOdcAttempts) break;
         for (const bool value : {false, true}) {
-          if (attempts >= opts.odcAttempts) break;
+          if (attempts >= kOdcAttempts) break;
           ++attempts;
           aig::NodeMap tentativeMap;
           tentativeMap.set(n, value ? aig::kTrue : aig::kFalse);
@@ -277,7 +283,7 @@ DcResult dcSimplify(aig::Aig& aig, Lit fRef, Lit fTgt, const DcOptions& opts) {
             ctx->focusOn(focusRoots);
           }
           ++out.stats.satChecks;
-          if (ctx->checkEquiv(before, after, opts.satBudget) ==
+          if (ctx->checkEquiv(before, after, kDcSatBudget) ==
               sat::Verdict::Holds) {
             out.target = tentative;
             ++out.stats.odcReplacements;

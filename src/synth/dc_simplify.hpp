@@ -35,12 +35,7 @@ class SweepContext;
 namespace cbq::synth {
 
 struct DcOptions {
-  int numWords = 2;                ///< random simulation words
-  int maxRounds = 8;               ///< cex-refinement rounds (input-DC)
-  std::int64_t satBudget = 2000;   ///< conflicts per SAT query
-  bool useOdc = true;              ///< enable the ODC phase
-  int odcAttempts = 48;            ///< max globally-verified ODC trials
-  std::uint64_t seed = 0xdc;       ///< simulation seed
+  bool useOdc = true;  ///< enable the ODC phase
 
   /// Cooperative stop, polled once per SAT query site. Simplification is
   /// an optimization: when the callback fires, the phases stop early and

@@ -43,31 +43,6 @@ TEST(FileDispatch, ReadsAllThreeFormatsFromDisk) {
   }
 }
 
-TEST(SweepOptions, RoundLimitIsHonoured) {
-  aig::Aig g;
-  util::Random rng(5);
-  const auto f = test::randomFormula(g, rng, 5, 60);
-  sweep::SweepOptions opts;
-  opts.maxRounds = 1;
-  const aig::Lit roots[] = {f};
-  const auto r = sweep::sweep(g, roots, opts);
-  EXPECT_LE(r.stats.rounds, 1u);
-  EXPECT_EQ(test::truthTable(g, r.roots[0], 5),
-            test::truthTable(g, f, 5));
-}
-
-TEST(SweepOptions, LearningOffStillSound) {
-  aig::Aig g;
-  util::Random rng(6);
-  const auto f = test::randomFormula(g, rng, 5, 60);
-  sweep::SweepOptions opts;
-  opts.learnEquivalences = false;
-  const aig::Lit roots[] = {f};
-  const auto r = sweep::sweep(g, roots, opts);
-  EXPECT_EQ(test::truthTable(g, r.roots[0], 5),
-            test::truthTable(g, f, 5));
-}
-
 TEST(SweepOptions, MoreSimulationWordsReduceFalseCandidates) {
   // With 8 words (512 patterns) the all-ones detector over 10 vars is
   // still all-zero in simulation sometimes, but refutations never cause

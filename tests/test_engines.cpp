@@ -122,13 +122,11 @@ TEST(Engines, BmcDepthLimitYieldsUnknownOnDeepBug) {
   EXPECT_EQ(engine.check(inst.net).verdict, Verdict::Unknown);
 }
 
-TEST(Engines, InductionWithoutUniquePathWeaker) {
-  // The arbiter's one-hot invariant is not inductive without the
-  // simple-path strengthening at small k; with it, induction closes.
+TEST(Engines, InductionWithSimplePathProvesRing) {
+  // k-induction always adds the simple-path (state-distinct) constraints;
+  // with them it closes on the ring's one-hot invariant.
   const auto inst = circuits::makeInstance("ring", 4, true);
-  mc::InductionOptions with;
-  with.uniquePath = true;
-  const auto r = mc::KInduction(with).check(inst.net);
+  const auto r = mc::KInduction().check(inst.net);
   EXPECT_EQ(r.verdict, Verdict::Safe);
 }
 
@@ -151,19 +149,22 @@ TEST(Engines, AllSatEnumerationCapGivesUnknown) {
 }
 
 TEST(Engines, CompactionDoesNotChangeVerdicts) {
-  for (const bool compact : {false, true}) {
-    mc::CircuitQuantReachOptions opts;
-    opts.compaction.enabled = compact;
-    // Force a compaction on every iteration when enabled — the harshest
-    // setting for the persistent session (rebind each time).
-    opts.compaction.garbageRatio = 0.0;
-    opts.compaction.minNodes = 0;
-    mc::CircuitQuantReach engine(opts);
-    const auto safeInst = circuits::makeInstance("lfsr", 4, true);
-    EXPECT_EQ(engine.check(safeInst.net).verdict, Verdict::Safe);
-    const auto badInst = circuits::makeInstance("lfsr", 4, false);
-    EXPECT_EQ(engine.check(badInst.net).verdict, Verdict::Unsafe);
-  }
+  // The session compacts after every committed frontier that misses the
+  // initial states — the harshest setting for the persistent session
+  // (rebind each time). A Safe run commits steps - 1 frontiers before
+  // the fixpoint; an Unsafe run commits steps, the last of which hits
+  // init and goes straight to trace reconstruction.
+  mc::CircuitQuantReach engine;
+  const auto safeInst = circuits::makeInstance("lfsr", 4, true);
+  const auto safe = engine.check(safeInst.net);
+  EXPECT_EQ(safe.verdict, Verdict::Safe);
+  ASSERT_GE(safe.steps, 1);
+  EXPECT_EQ(safe.stats.count("reach.compactions"), safe.steps - 1);
+  const auto badInst = circuits::makeInstance("lfsr", 4, false);
+  const auto bad = engine.check(badInst.net);
+  EXPECT_EQ(bad.verdict, Verdict::Unsafe);
+  ASSERT_GE(bad.steps, 1);
+  EXPECT_EQ(bad.stats.count("reach.compactions"), bad.steps - 1);
 }
 
 TEST(Preprocess, QuantifyingInputsPreservesVerdicts) {

@@ -101,7 +101,6 @@ TEST(EngineOptions, QuantOptionsReachTheQuantifier) {
   bare.quant.useSubstitution = false;
   bare.quant.mergePhase = false;
   bare.quant.optPhase = false;
-  bare.quant.rewriteResult = false;
   mc::CircuitQuantReach engine(bare);
   const auto res = engine.check(inst.net);
   EXPECT_EQ(res.verdict, Verdict::Safe);

@@ -64,16 +64,13 @@ TEST_P(QuantRandomized, PipelineVariantsAllCorrect) {
 
   for (const bool merge : {false, true}) {
     for (const bool opt : {false, true}) {
-      for (const bool finalSweep : {false, true}) {
-        QuantOptions o;
-        o.mergePhase = merge;
-        o.optPhase = opt;
-        o.finalSweep = finalSweep;
-        Quantifier q(g, o);
-        const Lit r = q.quantifyVarForced(f, v);
-        EXPECT_EQ(test::truthTable(g, r, 5), expect)
-            << "merge=" << merge << " opt=" << opt << " fs=" << finalSweep;
-      }
+      QuantOptions o;
+      o.mergePhase = merge;
+      o.optPhase = opt;
+      Quantifier q(g, o);
+      const Lit r = q.quantifyVarForced(f, v);
+      EXPECT_EQ(test::truthTable(g, r, 5), expect)
+          << "merge=" << merge << " opt=" << opt;
     }
   }
 }

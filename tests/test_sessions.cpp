@@ -156,8 +156,9 @@ TEST(Session, ResumeInSlicesMatchesOneShotOnGeneratedFamilies) {
       EXPECT_EQ(sliced.result.verdict, oneShot.verdict);
       EXPECT_EQ(sliced.result.steps, oneShot.steps);
       if (sliced.result.verdict == Verdict::Unsafe &&
-          sliced.result.cex.has_value())
+          sliced.result.cex.has_value()) {
         EXPECT_TRUE(mc::replayHitsBad(inst.net, *sliced.result.cex));
+      }
     }
   }
 }
@@ -241,8 +242,9 @@ TEST(TimeSlice, AgreesWithGroundTruthSingleWorker) {
     const auto res = scheduler.run(inst.net);
     EXPECT_EQ(res.best.verdict, inst.expected);
     ASSERT_NE(res.winner(), nullptr);
-    if (res.best.verdict == Verdict::Unsafe && res.best.cex.has_value())
+    if (res.best.verdict == Verdict::Unsafe && res.best.cex.has_value()) {
       EXPECT_TRUE(mc::replayHitsBad(inst.net, *res.best.cex));
+    }
     // Exactly one winner, and every granted slice is accounted for.
     int winners = 0;
     for (const auto& run : res.runs) winners += run.winner ? 1 : 0;

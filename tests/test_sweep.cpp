@@ -168,32 +168,6 @@ TEST(Sweep, RefutationsRefineSignatures) {
   EXPECT_TRUE(sawRefutation);
 }
 
-TEST(Sweep, FullArenaRefusesAppendsButStaysSound) {
-  // Same false-candidate setup as above, but the arena is capped at the
-  // initial word so every refutation's counterexample append is refused:
-  // the run must count arenaFull and still never merge wrongly.
-  bool sawFullArena = false;
-  for (std::uint64_t seed = 1; seed <= 8 && !sawFullArena; ++seed) {
-    Aig g;
-    std::vector<Lit> xs;
-    for (aig::VarId v = 0; v < 10; ++v) xs.push_back(g.pi(v));
-    const Lit allOnes = g.mkAndAll(xs);
-    SweepOptions opts;
-    opts.useBdd = false;
-    opts.numWords = 1;
-    opts.maxWords = 1;  // no room for counterexample columns
-    opts.seed = seed;
-    const Lit roots[] = {allOnes};
-    const auto r = sweep(g, roots, opts);
-    EXPECT_FALSE(r.roots[0].isConstant());
-    if (r.stats.satRefuted >= 1) {
-      EXPECT_GE(r.stats.arenaFull, 1u);
-      sawFullArena = r.stats.arenaFull >= 1;
-    }
-  }
-  EXPECT_TRUE(sawFullArena);
-}
-
 TEST(Sweep, ConstantAndPiRootsSurvive) {
   Aig g;
   const Lit roots[] = {aig::kTrue, g.pi(3), aig::kFalse};
