@@ -385,17 +385,16 @@ Lit Aig::cofactor(Lit f, VarId var, bool value) {
   return res.front();
 }
 
-Lit Aig::compose(Lit f, std::span<const VarSub> map) {
+std::vector<Lit> Aig::compose(std::span<const Lit> roots,
+                              std::span<const VarSub> map) {
   substScratch_.clear();
   for (const auto& [v, l] : map) substScratch_.set(v, l);
-  const Lit roots[] = {f};
-  auto res = rebuild(
+  return rebuild(
       roots,
       [&](VarId v) {
         return substScratch_.contains(v) ? substScratch_.at(v) : pi(v);
       },
       nullptr);
-  return res.front();
 }
 
 std::vector<Lit> Aig::rebuildWithNodeMap(std::span<const Lit> roots,

@@ -196,7 +196,14 @@ class Aig {
   /// by substitution / "in-lining" from §3 of the paper). Variables not in
   /// `map` are left untouched; a variable listed twice takes its last
   /// entry.
-  Lit compose(Lit f, std::span<const VarSub> map);
+  Lit compose(Lit f, std::span<const VarSub> map) {
+    const Lit roots[] = {f};
+    return compose(std::span<const Lit>(roots), map).front();
+  }
+  /// Composes several roots in one walk: shared cone nodes are rebuilt
+  /// once, so composing a chain of nested cones costs their union.
+  std::vector<Lit> compose(std::span<const Lit> roots,
+                           std::span<const VarSub> map);
   Lit compose(Lit f, std::initializer_list<VarSub> map) {
     return compose(f, std::span<const VarSub>(map.begin(), map.size()));
   }

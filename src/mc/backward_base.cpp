@@ -5,30 +5,24 @@
 #include "audit/audit.hpp"
 #include "obs/tracer.hpp"
 #include "sat/circuit_solver.hpp"
+#include "synth/dc_simplify.hpp"
 
 namespace cbq::mc::detail {
-
-namespace {
 
 using aig::Lit;
 using aig::VarId;
 
-/// Rebuilds the trace for an Unsafe verdict. `frontiers[j]` (in the
-/// archive manager) is Pre^j(∃i.bad); the initial state lies in
-/// frontiers[d]. One small SAT query per step picks inputs that descend
-/// the frontier chain; latches are stepped by simulation on the original
-/// network. One solver serves every step: the targets differ but all
-/// live in the archive manager, and each query is phrased purely through
-/// assumptions (target literal + current state values), so learnt gates
-/// carry over for the whole descent.
 Trace reconstructTrace(const Network& net, aig::Aig& archive,
-                       const std::vector<Lit>& archNext, Lit archBad,
-                       const std::vector<Lit>& frontiers, int d,
+                       std::span<const Lit> archNext, Lit archBad,
+                       std::span<const Lit> reached, int d,
                        obs::Metrics& stats) {
   std::vector<aig::VarSub> subst;
   subst.reserve(net.stateVars.size());
   for (std::size_t i = 0; i < net.stateVars.size(); ++i)
     subst.emplace_back(net.stateVars[i], archNext[i]);
+  // R_0 ⊆ R_1 ⊆ ... share their cones, so one walk composes them all.
+  const std::vector<Lit> targets =
+      archive.compose(reached.first(static_cast<std::size_t>(d)), subst);
 
   Trace trace;
   std::unordered_map<VarId, bool> state = net.initAssignment();
@@ -38,9 +32,7 @@ Trace reconstructTrace(const Network& net, aig::Aig& archive,
 
   for (int t = 0; t <= d; ++t) {
     const Lit target =
-        t < d ? archive.compose(frontiers[static_cast<std::size_t>(d - 1 - t)],
-                                subst)
-              : archBad;
+        t < d ? targets[static_cast<std::size_t>(d - 1 - t)] : archBad;
 
     assumptions.clear();
     assumptions.push_back(target);
@@ -73,8 +65,6 @@ Trace reconstructTrace(const Network& net, aig::Aig& archive,
   return trace;
 }
 
-}  // namespace
-
 BackwardReachSession::BackwardReachSession(
     const Network& net, std::string engineName, const ReachLimits& limits,
     InputEliminator eliminate)
@@ -93,17 +83,10 @@ BackwardReachSession::BackwardReachSession(
   for (std::size_t i = 0; i < net.stateVars.size(); ++i)
     subst_.emplace_back(net.stateVars[i], nextL_[i]);
 
-  // The run's persistent sweep sessions, valid until the next compaction
-  // retires the manager's node space. Two solvers with very different
-  // workloads: `session_` carries the merge/DC compare-point checks (small
-  // cofactor cones, thousands of queries), while `fixSession_` carries the
-  // fixpoint implications (one huge reached-set cone, one query per
-  // iteration). Keeping them apart keeps the reached-set learnt gates out
-  // of the compare-point checks. Their interrupts poll whichever slice
-  // budget the current resume() is running under.
+  // The run's persistent sweep session: every merge, DC, frontier and
+  // fixpoint query of the run goes to its one solver. Its interrupt polls
+  // whichever slice budget the current resume() is running under.
   session_.setInterrupt(
-      [this] { return curBud_ != nullptr && curBud_->exhausted(); });
-  fixSession_.setInterrupt(
       [this] { return curBud_ != nullptr && curBud_->exhausted(); });
 
   // Archive manager: frontier history for counterexample reconstruction.
@@ -121,7 +104,6 @@ Progress BackwardReachSession::snapshot(Verdict v, bool done) {
   p.result.verdict = v;
   p.result.steps = iter_;
   session_.exportStats(p.result.stats);
-  fixSession_.exportStats(p.result.stats);
   p.bound = iter_;
   p.advanced = committedThisSlice_ > 0;
   {
@@ -137,11 +119,14 @@ Progress BackwardReachSession::snapshot(Verdict v, bool done) {
   return p;
 }
 
-void BackwardReachSession::commitFrontier(Lit pre) {
-  frontier_ = pre;
-  reached_ = mgr_.mkOr(reached_, pre);
+void BackwardReachSession::commitFrontier(Lit frontier) {
+  frontier_ = frontier;
+  reached_ = mgr_.mkOr(reached_, frontier);
+  // Only the frontier's cone moves to the archive; R_j is one OR over the
+  // archived R_{j-1}.
   const Lit fr[] = {frontier_};
-  frontiersArch_.push_back(archive_.transferFrom(mgr_, fr).front());
+  const Lit arch = archive_.transferFrom(mgr_, fr).front();
+  reachedArch_.push_back(archive_.mkOr(reachedArch_.back(), arch));
   res_.stats.high("reach.max_frontier_cone",
                   static_cast<double>(mgr_.coneSize(fr)));
   ++committedThisSlice_;
@@ -155,8 +140,7 @@ void BackwardReachSession::compact() {
   // on the generated suite that shrinks state-set cones enough that
   // compacting after every committed frontier beats hoarding nodes. The
   // transfer map lets the sweep session carry its proven/refuted pair
-  // cache across the NodeId change, so only the solver restarts; the
-  // fixpoint session just rebinds (it records no pair facts).
+  // cache across the NodeId change, so only the solver restarts.
   std::vector<Lit> live{reached_, frontier_, badL_};
   live.insert(live.end(), nextL_.begin(), nextL_.end());
   aig::Aig fresh;
@@ -186,12 +170,10 @@ Progress BackwardReachSession::doResume(const portfolio::Budget& budget) {
   Progress p = run(*bud);
   curBud_ = nullptr;
   // Session pause: everything the next resume rebuilds from — the
-  // manager and both persistent SAT sessions — must be coherent now.
+  // manager and the persistent SAT session — must be coherent now.
   CBQ_AUDIT_CHECK("reach.pause", audit::auditAig(mgr_));
   CBQ_AUDIT_CHECK("reach.pause.session",
                   audit::auditSweepContext(session_, mgr_));
-  CBQ_AUDIT_CHECK("reach.pause.fix-session",
-                  audit::auditSweepContext(fixSession_, mgr_));
   return p;
 }
 
@@ -215,7 +197,7 @@ Progress BackwardReachSession::run(const portfolio::Budget& bud) {
         reached_ = frontier_;
         {
           const Lit fr[] = {frontier_};
-          frontiersArch_.push_back(archive_.transferFrom(mgr_, fr).front());
+          reachedArch_.push_back(archive_.transferFrom(mgr_, fr).front());
         }
         phase_ = mgr_.evaluate(frontier_, initDense_) ? Phase::Trace
                                                       : Phase::Guard;
@@ -251,18 +233,46 @@ Progress BackwardReachSession::run(const portfolio::Budget& bud) {
       }
       case Phase::Fix: {
         CBQ_OBS_SPAN("engine", "fixpoint");
-        // Fixpoint: every pre-image state already reached? Runs in its
-        // own session (fixSession_), apart from the small merge/DC
-        // compare-point checks.
-        fixSession_.bind(mgr_);
-        const Lit fpRoots[] = {pre_, reached_};
-        fixSession_.focusOn(fpRoots);
+        // Frontier DC decides the fixpoint: pre_ simplified with reached_
+        // as the don't-care set. Its postcondition reached ∨ F' ≡
+        // reached ∨ pre makes F' = 0 a proof of pre ⊆ reached (Safe), and
+        // a simulated care pattern with pre ∧ ¬reached shows there is no
+        // fixpoint. Only when neither is known does one implication query
+        // decide. Either way F' replaces pre_ as the committed frontier,
+        // so the next pre-image starts from the smaller cone. Where the
+        // session's DC tracker shows DC not shrinking cones (multipliers:
+        // without this gate mult8_unsafe runs out of 60 s instead of
+        // taking ~2.5 s), pre_ is committed as is after that query.
         res_.stats.add("reach.fixpoint_checks");
-        const sat::Verdict fp = fixSession_.checkImplies(pre_, reached_);
-        if (fp == sat::Verdict::Holds) return snapshot(Verdict::Safe, true);
-        if (fp == sat::Verdict::Unknown)  // interrupted mid-solve: retry
-          return snapshot(Verdict::Unknown, false);
-        commitFrontier(pre_);
+        synth::DcResult dc{pre_};
+        if (session_.shouldAttemptDc()) {
+          synth::DcOptions dcOpts;
+          dcOpts.context = &session_;
+          dcOpts.interrupt = [&bud] { return bud.exhausted(); };
+          dc = synth::dcSimplify(mgr_, reached_, pre_, dcOpts);
+        } else {
+          res_.stats.add("reach.frontier_skipped_feedback");
+        }
+        res_.stats.add("reach.frontier_const_repl",
+                       static_cast<std::int64_t>(dc.stats.constReplacements));
+        res_.stats.add("reach.frontier_merge_repl",
+                       static_cast<std::int64_t>(dc.stats.mergeReplacements));
+        res_.stats.add("reach.frontier_odc_repl",
+                       static_cast<std::int64_t>(dc.stats.odcReplacements));
+        res_.stats.add("reach.frontier_sat_checks",
+                       static_cast<std::int64_t>(dc.stats.satChecks));
+        if (dc.target.isFalse()) return snapshot(Verdict::Safe, true);
+        if (!dc.escapes) {
+          res_.stats.add("reach.fixpoint_sat_fallbacks");
+          session_.bind(mgr_);
+          const Lit fpRoots[] = {pre_, reached_};
+          session_.focusOn(fpRoots);
+          const sat::Verdict fp = session_.checkImplies(pre_, reached_);
+          if (fp == sat::Verdict::Holds) return snapshot(Verdict::Safe, true);
+          if (fp == sat::Verdict::Unknown)  // interrupted mid-solve: retry
+            return snapshot(Verdict::Unknown, false);
+        }
+        commitFrontier(dc.target);
         if (mgr_.evaluate(frontier_, initDense_)) {
           phase_ = Phase::Trace;
         } else {
@@ -274,7 +284,7 @@ Progress BackwardReachSession::run(const portfolio::Budget& bud) {
       case Phase::Trace: {
         CBQ_OBS_SPAN("engine", "trace");
         res_.cex = reconstructTrace(*net_, archive_, archNext_, archBad_,
-                                    frontiersArch_, iter_, res_.stats);
+                                    reachedArch_, iter_, res_.stats);
         res_.stats.set("reach.iterations", iter_);
         return snapshot(Verdict::Unsafe, true);
       }

@@ -4,25 +4,34 @@
 // The three SAT-flavoured engines (circuit quantification, all-SAT
 // pre-image, hybrid) differ only in how they eliminate the input
 // variables from the in-lined pre-image formula; everything else —
-// the fixpoint loop, the frontier archive, counterexample
+// the fixpoint loop, the reached-set archive, counterexample
 // reconstruction, compaction — is identical and lives here, as a
 // resumable Session: the working manager, the frontier/reached cones,
-// both persistent sweep sessions and the frontier archive survive a
-// budget pause, and the next resume() continues from the iteration
-// boundary (or retries the interrupted pre-image / fixpoint query)
-// instead of starting over.
+// the persistent sweep session and the archive survive a budget pause,
+// and the next resume() continues from the iteration boundary (or
+// retries the interrupted pre-image / fixpoint step) instead of
+// starting over.
 //
-// The skeleton owns the run's persistent sweep sessions (each one circuit
+// Each pre-image is simplified against the reached set before it is
+// committed (frontier DC, synth::dcSimplify with reached as the
+// don't-care set). The reached set as a function is unchanged, but the
+// committed frontier — and so the next pre-image — shrinks, and the same
+// call decides the fixpoint: a constant-false result proves it, a
+// simulated escape refutes it, and only otherwise does one implication
+// query run. The archive keeps the cumulative reached sets R_j that the
+// counterexample descent targets.
+//
+// The skeleton owns the run's one persistent sweep session (a circuit
 // SAT solver + proven/refuted pair cache bound to the working manager,
-// see sweep/sweep_context.hpp): the per-engine eliminator receives the
-// compare-point session via PreImageRequest and threads it into its
-// quantifier, and the fixpoint checks issue their implication queries to
-// a second session. The working manager is compacted after every
-// committed frontier; the compare-point session carries its pair cache
-// across each compaction, so the sessions survive across iterations.
+// see sweep/sweep_context.hpp): the per-engine eliminator receives it via
+// PreImageRequest and threads it into its quantifier, and the frontier
+// DC and fixpoint queries use it too. The working manager is compacted
+// after every committed frontier; the session carries its pair cache
+// across each compaction, so it survives across iterations.
 
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,6 +58,23 @@ struct PreImageRequest {
 using InputEliminator =
     std::function<std::optional<aig::Lit>(const PreImageRequest&)>;
 
+/// Rebuilds the trace of an Unsafe run of depth `d`. `reached[j]` (in
+/// the `archive` manager, j < d) is R_j, the states that reach bad within
+/// j steps, and the initial state lies in R_d but not in R_{d-1}.
+/// `archNext`/`archBad` are the network's next-state functions and bad
+/// cone in the archive. Every state of R_j \ R_{j-1} has a successor in
+/// R_{j-1}, so one small SAT query per step picks inputs that descend
+/// from R_{d-t} into R_{d-1-t}, whatever extra states of R_{j-1} a
+/// simplified frontier kept; latches are stepped by simulation on the
+/// original network. One solver serves every step: the targets all live
+/// in the archive and each query is phrased purely through assumptions
+/// (target literal + current state values), so learnt gates carry over
+/// for the whole descent. Returns d + 1 input vectors.
+Trace reconstructTrace(const Network& net, aig::Aig& archive,
+                       std::span<const aig::Lit> archNext, aig::Lit archBad,
+                       std::span<const aig::Lit> reached, int d,
+                       obs::Metrics& stats);
+
 /// Resumable backward reachability with AIG state sets. `eliminate` is
 /// invoked once on the initial bad cone and once per pre-image.
 /// `limits.timeLimitSeconds` is measured against the session's total
@@ -73,13 +99,13 @@ class BackwardReachSession final : public Session {
     Init,   ///< frontier 0: eliminate inputs from the bad cone
     Guard,  ///< iteration/cone limits, then commit to the next pre-image
     Pre,    ///< in-line substitution + input elimination -> pre_
-    Fix,    ///< pre_ => reached? (Safe on fixpoint)
+    Fix,    ///< frontier DC of pre_ against reached (Safe on fixpoint)
     Trace,  ///< counterexample reconstruction over the archive
   };
 
   Progress run(const portfolio::Budget& bud);
   Progress snapshot(Verdict v, bool done);
-  void commitFrontier(aig::Lit pre);
+  void commitFrontier(aig::Lit frontier);
   void compact();
 
   const Network* net_;
@@ -93,13 +119,12 @@ class BackwardReachSession final : public Session {
   aig::Lit badL_ = aig::kFalse;
   std::vector<aig::VarSub> subst_;
 
-  sweep::SweepContext session_;      ///< merge/DC compare-point checks
-  sweep::SweepContext fixSession_;   ///< fixpoint implication checks
+  sweep::SweepContext session_;      ///< every SAT query of the run
 
-  aig::Aig archive_;                 ///< frontier history for traces
+  aig::Aig archive_;                 ///< reached-set history for traces
   std::vector<aig::Lit> archNext_;
   aig::Lit archBad_ = aig::kFalse;
-  std::vector<aig::Lit> frontiersArch_;
+  std::vector<aig::Lit> reachedArch_;  ///< R_j: states within j steps of bad
 
   aig::Lit frontier_ = aig::kFalse;
   aig::Lit reached_ = aig::kFalse;

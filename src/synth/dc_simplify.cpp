@@ -33,8 +33,9 @@ constexpr std::uint64_t kDcSeed = 0xdc;      // simulation seed
 /// as the collision referee (no per-node string keys).
 class CareSim {
  public:
-  /// Room for kDcRounds appended columns: phase A appends at most one
-  /// per round, so its appends are never refused.
+  /// Room for kDcRounds appended columns: the root-first query appends
+  /// at most one and phase A at most one per round except the last, so
+  /// no append is ever refused.
   CareSim(const aig::Aig& aig, Lit fRef, Lit fTgt, util::Random& rng)
       : aig_(&aig), fRef_(fRef), fTgt_(fTgt) {
     const Lit both[] = {fRef, fTgt};
@@ -86,6 +87,40 @@ class CareSim {
 
   [[nodiscard]] const std::vector<NodeId>& order() const { return order_; }
   [[nodiscard]] const std::vector<VarId>& support() const { return support_; }
+
+  /// Values of `l` on the simulated patterns. Nodes of the simulated
+  /// cone read their rows; nodes built since (rebuilt cones) are
+  /// simulated here, so the cost is the part of l's cone that is new.
+  [[nodiscard]] std::vector<std::uint64_t> valueOf(Lit l) const {
+    const std::size_t words = sigs_->words();
+    const Lit roots[] = {l};
+    const auto order = aig_->coneAnds(roots);
+    std::unordered_map<NodeId, std::vector<std::uint64_t>> fresh;
+    auto row = [&](Lit f, std::size_t w) -> std::uint64_t {
+      const std::uint64_t flip = negMask(f.negated());
+      if (f.isConstant()) return flip;
+      if (sigs_->inCone(f.node())) return sigs_->of(f.node())[w] ^ flip;
+      return fresh.at(f.node())[w] ^ flip;
+    };
+    for (const NodeId n : order) {
+      if (sigs_->inCone(n)) continue;
+      std::vector<std::uint64_t> v(words);
+      for (std::size_t w = 0; w < words; ++w)
+        v[w] = row(aig_->fanin0(n), w) & row(aig_->fanin1(n), w);
+      fresh.emplace(n, std::move(v));
+    }
+    std::vector<std::uint64_t> out(words);
+    for (std::size_t w = 0; w < words; ++w) out[w] = row(l, w);
+    return out;
+  }
+
+  /// Care-masked equality of two valueOf() results.
+  [[nodiscard]] bool careEqual(std::span<const std::uint64_t> a,
+                               std::span<const std::uint64_t> b) const {
+    for (std::size_t w = 0; w < a.size(); ++w)
+      if (((a[w] ^ b[w]) & care_[w]) != 0) return false;
+    return true;
+  }
 
   /// AND nodes of fTgt's cone only, topological.
   [[nodiscard]] std::vector<NodeId> targetOrder() const {
@@ -146,12 +181,40 @@ DcResult dcSimplify(aig::Aig& aig, Lit fRef, Lit fTgt, const DcOptions& opts) {
     ctx->focusOn(focusRoots);
   }
 
-  // ----- phase A: input-DC replacements (cex-refined rounds) -------------
   // Phase A only queries the solver (the manager does not grow), so
   // node-indexed scratch vectors sized now stay valid for every round.
   aig::NodeMap careMap;
   std::vector<std::uint8_t> disqualified(aig.numNodes(), 0);
 
+  // ----- root first -------------------------------------------------------
+  // A target that is 0 on every simulated care pattern is often wholly
+  // inside fRef (a backward fixpoint, a cofactor covered by the other).
+  // One implication query settles that before phase A spends a query per
+  // node: Holds makes the result constant false; Fails yields a care
+  // witness, appended as a simulation column.
+  if (sim.careConstant(fTgt, false) && !(opts.interrupt && opts.interrupt())) {
+    ++out.stats.satChecks;
+    switch (ctx->checkImplies(fTgt, fRef, kDcSatBudget)) {
+      case sat::Verdict::Holds:
+        ++out.stats.constReplacements;
+        out.target = aig::kFalse;
+        return out;
+      case sat::Verdict::Fails: {
+        ++out.stats.satRefuted;
+        std::vector<std::uint64_t> witness(sim.support().size(), 0);
+        for (std::size_t i = 0; i < witness.size(); ++i)
+          witness[i] = ctx->modelOf(sim.support()[i]) ? 1 : 0;
+        sim.appendWord(witness, 1, rng);
+        break;
+      }
+      case sat::Verdict::Unknown:
+        ++out.stats.satUnknown;
+        disqualified[fTgt.node()] = 1;
+        break;
+    }
+  }
+
+  // ----- phase A: input-DC replacements (cex-refined rounds) -------------
   bool interrupted = false;
   for (int round = 0; !interrupted && round < kDcRounds; ++round) {
     const auto targetOrder = sim.targetOrder();
@@ -235,8 +298,8 @@ DcResult dcSimplify(aig::Aig& aig, Lit fRef, Lit fTgt, const DcOptions& opts) {
       }
     }
 
-    // The last round's column would never be read: phase B does not
-    // simulate.
+    // No column after the last round: phase A would never read it, and
+    // the arena's room is sized without it.
     if (cexCount == 0 || round + 1 == kDcRounds) break;
     sim.appendWord(cexBits, cexCount, rng);
   }
@@ -245,6 +308,10 @@ DcResult dcSimplify(aig::Aig& aig, Lit fRef, Lit fTgt, const DcOptions& opts) {
     const Lit roots[] = {fTgt};
     out.target = aig.rebuildWithNodeMap(roots, careMap).front();
   }
+  // Every simulated pattern is a real input assignment, so a care pattern
+  // on which fTgt is 1 witnesses fTgt ∧ ¬fRef. Replacements keep fTgt's
+  // value on the care set, so the witness holds for the result too.
+  out.escapes = !sim.careConstant(fTgt, false);
 
   // ----- phase B: ODC attempts, each verified end-to-end ------------------
   // Feedback-gated: each validation is a global equivalence proof over
@@ -263,6 +330,7 @@ DcResult dcSimplify(aig::Aig& aig, Lit fRef, Lit fTgt, const DcOptions& opts) {
       const Lit curRoots[] = {current};
       const auto order = aig.coneAnds(curRoots);
       const std::size_t curSize = order.size();
+      const auto curValue = sim.valueOf(current);
       for (const NodeId n : order) {
         if (attempts >= kOdcAttempts) break;
         for (const bool value : {false, true}) {
@@ -274,6 +342,9 @@ DcResult dcSimplify(aig::Aig& aig, Lit fRef, Lit fTgt, const DcOptions& opts) {
               aig.rebuildWithNodeMap(curRoots, tentativeMap).front();
           const Lit tentRoots[] = {tentative};
           if (aig.coneSize(tentRoots) >= curSize) continue;
+          // A care pattern that tells tentative from current refutes the
+          // replacement without a query.
+          if (!sim.careEqual(curValue, sim.valueOf(tentative))) continue;
           // The paper's extra equivalence check: is the EXOR between the
           // node before/after observable at fRef ∨ fTgt?
           const Lit before = aig.mkOr(fRef, current);

@@ -63,11 +63,17 @@ struct DcStats {
 
 struct DcResult {
   aig::Lit target;  ///< simplified fTgt (equal to fTgt wherever fRef = 0)
+  /// A simulated care pattern has fTgt = 1, so fTgt ∧ ¬fRef is
+  /// satisfiable (fTgt ⊄ fRef). False proves nothing.
+  bool escapes = false;
   DcStats stats;
 };
 
 /// Simplifies `fTgt` using the onset of `fRef` as a don't-care set.
-/// Postcondition: fRef ∨ result ≡ fRef ∨ fTgt.
+/// Postcondition: fRef ∨ result ≡ fRef ∨ fTgt, so a constant-false
+/// result proves fTgt ⊆ fRef. When simulation shows fTgt = 0 on every
+/// care pattern, the root is tried first: one implication query decides
+/// fTgt ⊆ fRef before any per-node work.
 DcResult dcSimplify(aig::Aig& aig, aig::Lit fRef, aig::Lit fTgt,
                     const DcOptions& opts = {});
 

@@ -7,6 +7,7 @@
 #include "bdd/bdd.hpp"
 #include "circuits/families.hpp"
 #include "circuits/suite.hpp"
+#include "mc/backward_base.hpp"
 #include "mc/engines.hpp"
 
 namespace cbq {
@@ -127,6 +128,104 @@ TEST(EngineStats, BackwardEngineExposesWorkCounters) {
   EXPECT_GT(res.stats.count("reach.fixpoint_checks"), 0);
   EXPECT_GT(res.stats.count("quant.vars_attempted"), 0);
   EXPECT_GT(res.stats.gauge("reach.max_reached_cone"), 0.0);
+}
+
+// cbq-reach commits each pre-image simplified against the reached set.
+// Its counterexamples must still replay and keep the shortest length
+// (2^n - 1 steps on these families), and frontier DC must have replaced
+// nodes on the way.
+TEST(BackwardTrace, FrontierDcTracesReplayAtMinimalDepth) {
+  const std::pair<const char*, int> cases[] = {
+      {"counter", 8}, {"haystack", 8}, {"evencount", 9}, {"queue", 7}};
+  for (const auto& [family, width] : cases) {
+    const auto inst = circuits::makeInstance(family, width, false);
+    const int depth =
+        (1 << (std::string(family) == "evencount" ? width - 1 : width)) - 1;
+    mc::CircuitQuantReach engine;
+    const auto res = engine.check(inst.net);
+    ASSERT_EQ(res.verdict, Verdict::Unsafe) << inst.net.name;
+    ASSERT_TRUE(res.cex.has_value()) << inst.net.name;
+    EXPECT_TRUE(mc::replayHitsBad(inst.net, *res.cex)) << inst.net.name;
+    EXPECT_EQ(res.steps, depth) << inst.net.name;
+    EXPECT_EQ(res.cex->length(), static_cast<std::size_t>(depth) + 1)
+        << inst.net.name;
+    EXPECT_GT(res.stats.count("reach.frontier_const_repl") +
+                  res.stats.count("reach.frontier_merge_repl") +
+                  res.stats.count("reach.frontier_odc_repl"),
+              0)
+        << inst.net.name;
+  }
+}
+
+// A frontier simplified against the reached set may keep states of
+// R_{j-1} that have no successor in the previous frontier. Hand-built
+// frontiers of that kind, on a 3-bit counter s' = s + 1 with bad
+// s = 3 ∧ i: F'_0 = {3}, F'_1 = {2,3}, F'_2 = {1,2,3}, F'_3 = {0..3}.
+// State 3 of F'_1 lies in R_0 and steps to 4, outside F'_0. The descent
+// into the cumulative sets R_j must still give a 3-step trace.
+TEST(BackwardTrace, DescentTargetsCumulativeReachedSets) {
+  mc::NetworkBuilder b("counter3-plus-one");
+  std::vector<aig::Lit> s;
+  for (int k = 0; k < 3; ++k) s.push_back(b.addLatch(false));
+  const aig::Lit in = b.addInput();
+  aig::Aig& g = b.aig();
+  aig::Lit carry = aig::kTrue;
+  for (int k = 0; k < 3; ++k) {
+    b.setNextOf(s[k], g.mkXor(s[k], carry));
+    carry = g.mkAnd(carry, s[k]);
+  }
+  b.setBad(g.mkAnd(g.mkAnd(s[0], s[1]), g.mkAnd(!s[2], in)));
+  const mc::Network net = b.finish();
+
+  aig::Aig archive;
+  std::vector<aig::Lit> roots(net.next.begin(), net.next.end());
+  roots.push_back(net.bad);
+  const auto moved = archive.transferFrom(net.aig, roots);
+  const std::vector<aig::Lit> archNext(moved.begin(), moved.end() - 1);
+  const aig::Lit archBad = moved.back();
+
+  auto set = [&](std::initializer_list<unsigned> values) {
+    aig::Lit f = aig::kFalse;
+    for (const unsigned v : values) {
+      aig::Lit cube = aig::kTrue;
+      for (std::size_t k = 0; k < 3; ++k)
+        cube = archive.mkAnd(cube, archive.pi(net.stateVars[k]) ^
+                                       (((v >> k) & 1u) == 0));
+      f = archive.mkOr(f, cube);
+    }
+    return f;
+  };
+  auto holds = [&](aig::Lit f, unsigned v) {
+    std::unordered_map<aig::VarId, bool> a;
+    for (std::size_t k = 0; k < 3; ++k)
+      a.emplace(net.stateVars[k], ((v >> k) & 1u) != 0);
+    return archive.evaluate(f, a);
+  };
+  const std::vector<aig::Lit> frontiers = {set({3}), set({2, 3}),
+                                           set({1, 2, 3}), set({0, 1, 2, 3})};
+  std::vector<aig::Lit> reached = {frontiers[0]};
+  for (std::size_t j = 1; j < frontiers.size(); ++j)
+    reached.push_back(archive.mkOr(reached.back(), frontiers[j]));
+
+  // The frontiers are ones frontier DC may commit: F'_j ∨ R_{j-1} equals
+  // Pre(F'_{j-1}) ∨ R_{j-1} on every state, and init is first in F'_3.
+  for (std::size_t j = 1; j < frontiers.size(); ++j)
+    for (unsigned v = 0; v < 8; ++v)
+      EXPECT_EQ(holds(frontiers[j], v) || holds(reached[j - 1], v),
+                holds(frontiers[j - 1], (v + 1) % 8) ||
+                    holds(reached[j - 1], v))
+          << "j=" << j << " state " << v;
+  EXPECT_TRUE(holds(frontiers[3], 0));
+  EXPECT_FALSE(holds(reached[2], 0));
+  // The scenario: 3 ∈ F'_1 ∩ R_0, and its successor 4 is not in F'_0.
+  EXPECT_TRUE(holds(frontiers[1], 3) && holds(reached[0], 3));
+  EXPECT_FALSE(holds(frontiers[0], 4));
+
+  obs::Metrics stats;
+  const mc::Trace trace = mc::detail::reconstructTrace(
+      net, archive, archNext, archBad, reached, 3, stats);
+  EXPECT_EQ(trace.length(), 4u);
+  EXPECT_TRUE(mc::replayHitsBad(net, trace));
 }
 
 TEST(Hybrid, ResidualVariablesGoToEnumeration) {

@@ -124,6 +124,81 @@ TEST(DcSimplify, StatsAccounting) {
   EXPECT_EQ(r.stats.nodesBefore, g.coneSize(fTgt));
 }
 
+// Root-first: a target inside fRef costs exactly the one implication
+// query and comes back constant false (the backward fixpoint case).
+TEST_P(DcRandomized, SubsumedTargetIsOneQuery) {
+  util::Random rng(static_cast<std::uint64_t>(GetParam()) * 107 + 4);
+  int checked = 0;
+  for (int draw = 0; draw < 4; ++draw) {
+    Aig g;
+    const Lit a = test::randomFormula(g, rng, 6, 30);
+    const Lit b = test::randomFormula(g, rng, 6, 30);
+    const Lit c = test::randomFormula(g, rng, 6, 30);
+    const Lit fTgt = g.mkAnd(a, b);  // fTgt ⊆ a ⊆ fRef
+    const Lit fRef = g.mkOr(a, c);
+    if (fTgt.isConstant() || fRef.isTrue()) continue;  // early-out paths
+    const auto tTgt = test::truthTable(g, fTgt, 6);
+    const auto tRef = test::truthTable(g, fRef, 6);
+    for (std::size_t i = 0; i < tTgt.size(); ++i)
+      ASSERT_TRUE(!tTgt[i] || tRef[i]) << "minterm " << i;
+
+    const auto r = dcSimplify(g, fRef, fTgt, {});
+    EXPECT_TRUE(r.target.isFalse()) << "draw " << draw;
+    EXPECT_FALSE(r.escapes) << "draw " << draw;
+    EXPECT_EQ(r.stats.satChecks, 1u) << "draw " << draw;
+    ++checked;
+  }
+  EXPECT_GT(checked, 0);
+}
+
+// `escapes` is a witness claim: fTgt ∧ ¬fRef must be satisfiable.
+TEST_P(DcRandomized, EscapesImpliesTargetOutsideReference) {
+  util::Random rng(static_cast<std::uint64_t>(GetParam()) * 109 + 5);
+  for (int draw = 0; draw < 8; ++draw) {
+    Aig g;
+    const Lit fRef = test::randomFormula(g, rng, 5, 30);
+    const Lit fTgt = test::randomFormula(g, rng, 5, 30);
+    const auto r = dcSimplify(g, fRef, fTgt, {});
+    const auto tRef = test::truthTable(g, fRef, 5);
+    const auto tTgt = test::truthTable(g, fTgt, 5);
+    bool outside = false;
+    for (std::size_t i = 0; i < tRef.size(); ++i)
+      outside = outside || (tTgt[i] && !tRef[i]);
+    if (r.escapes) {
+      EXPECT_TRUE(outside) << "draw " << draw;
+    }
+    if (!outside && !fTgt.isTrue()) {
+      EXPECT_TRUE(r.target.isFalse()) << "draw " << draw;
+    }
+  }
+}
+
+// Targets whose few care minterms random simulation misses: the root
+// simulates care-constant 0, so the root-first query runs, is refuted,
+// and its witness must surface as `escapes` while the postcondition
+// fRef ∨ result ≡ fRef ∨ fTgt still holds.
+TEST_P(DcRandomized, RefutedRootFirstKeepsPostcondition) {
+  constexpr int kVars = 12;
+  util::Random rng(static_cast<std::uint64_t>(GetParam()) * 113 + 6);
+  Aig g;
+  std::vector<Lit> cube;
+  for (aig::VarId v = 0; v < 10; ++v) cube.push_back(g.pi(v));
+  const Lit fRef = test::randomFormula(g, rng, kVars, 40);
+  const Lit tail = test::randomFormula(g, rng, kVars, 40);
+  const Lit fTgt = g.mkAnd(g.mkAndAll(cube), g.mkOr(tail, g.pi(kVars - 1)));
+  const auto before = orTable(g, fRef, fTgt, kVars);
+  const auto tRef = test::truthTable(g, fRef, kVars);
+  const auto tTgt = test::truthTable(g, fTgt, kVars);
+  bool outside = false;
+  for (std::size_t i = 0; i < tRef.size(); ++i)
+    outside = outside || (tTgt[i] && !tRef[i]);
+
+  const auto r = dcSimplify(g, fRef, fTgt, {});
+  EXPECT_EQ(orTable(g, fRef, r.target, kVars), before);
+  EXPECT_EQ(r.escapes, outside);
+  EXPECT_GE(r.stats.satChecks, 1u);
+}
+
 TEST(Rewrite, PreservesFunctionAndNeverGrows) {
   Aig g;
   util::Random rng(31);
